@@ -144,6 +144,37 @@ fn dtype_of(tag: &str) -> Option<relstore::value::DataType> {
     })
 }
 
+/// Make `table` hold exactly `rows`, which are identified by their first
+/// `key_cols` columns. Rows whose contents changed are rewritten where
+/// they are and unchanged ones are left alone, so a meta table rewritten
+/// at every commit dirties at most its own page and never grows; only a
+/// changed key set (a relation was created) replaces the contents.
+fn sync_rows(
+    table: &relstore::Table,
+    key_cols: usize,
+    rows: Vec<Vec<relstore::Value>>,
+) -> Result<()> {
+    let wanted = |held: &[relstore::Value]| {
+        rows.iter()
+            .find(|r| r.iter().take(key_cols).eq(held.iter().take(key_cols)))
+    };
+    let held = table.scan()?;
+    if held.len() != rows.len() || !held.iter().all(|h| wanted(h).is_some()) {
+        table.delete_where(|_| true)?;
+        table.insert_all(rows)?;
+        return Ok(());
+    }
+    table.update_where(
+        |h| wanted(h).is_some_and(|r| r != h),
+        |h| {
+            if let Some(r) = wanted(h) {
+                h.clone_from(r);
+            }
+        },
+    )?;
+    Ok(())
+}
+
 /// The ArchIS system facade: a current + historical database with XML
 /// views, query translation, segment clustering and optional compression.
 pub struct ArchIS {
@@ -279,11 +310,9 @@ impl ArchIS {
                 &[],
             )?;
         }
-        let rel_t = self.db.table(META_RELATIONS)?;
-        let state_t = self.db.table(META_STATE)?;
-        rel_t.delete_where(|_| true)?;
-        state_t.delete_where(|_| true)?;
         use relstore::Value;
+        let mut rel_rows = Vec::new();
+        let mut state_rows = Vec::new();
         for spec in self.relations.values() {
             let attrs = spec
                 .attrs
@@ -297,26 +326,28 @@ impl ArchIS {
                 .map(|(a, t)| format!("{a}:{}", dtype_tag(*t)))
                 .collect::<Vec<_>>()
                 .join(",");
-            rel_t.insert(vec![
+            rel_rows.push(vec![
                 Value::Str(spec.name.clone()),
                 Value::Str(spec.root.clone()),
                 Value::Str(spec.doc.clone()),
                 Value::Str(spec.key.clone()),
                 Value::Str(attrs),
                 Value::Str(composite),
-            ])?;
+            ]);
             let archiver = self.archiver(&spec.name)?;
             for (attr, nall, nlive, live_start, next_segno) in archiver.state_rows() {
-                state_t.insert(vec![
+                state_rows.push(vec![
                     Value::Str(spec.name.clone()),
                     Value::Str(attr),
                     Value::Int(nall as i64),
                     Value::Int(nlive as i64),
                     Value::Date(live_start),
                     Value::Int(next_segno),
-                ])?;
+                ]);
             }
         }
+        sync_rows(&*self.db.table(META_RELATIONS)?, 1, rel_rows)?;
+        sync_rows(&*self.db.table(META_STATE)?, 2, state_rows)?;
         Ok(())
     }
 

@@ -8,13 +8,14 @@
 //!   when the catalog itself is damaged.
 //! * **check** — scrub plus a full structural audit: open the database
 //!   (replaying any WAL tail), walk the catalog, every table's base
-//!   storage, every secondary index, the cached row counters, the
-//!   planner's per-segment statistics catalog, the ArchIS archiver
-//!   invariants (paper §6.1), and decode every compressed block.
+//!   storage, every secondary index, the cached row counters and
+//!   recorded heap tails / page counts, the planner's per-segment
+//!   statistics catalog, the ArchIS archiver invariants (paper §6.1),
+//!   and decode every compressed block.
 //! * **repair** — check, then fix everything *derived*: corrupt secondary
 //!   indexes are rebuilt from base storage with a bottom-up bulk load,
-//!   diverged row counters are recounted, drifted segment statistics are
-//!   recomputed from the data, and — once every structure
+//!   diverged row counters and heap tails are recounted, drifted segment
+//!   statistics are recomputed from the data, and — once every structure
 //!   verifies clean — orphaned corrupt pages (damage stranded outside any
 //!   live structure, e.g. the old pages of a rebuilt index) are zeroed and
 //!   restamped so a follow-up scrub comes back clean. Base-storage and
@@ -564,6 +565,18 @@ fn audit_tables(archis: &ArchIS) -> Vec<(Finding, Option<Repair>)> {
                 Some(Repair::Recount(name.clone())),
             ));
         }
+        if let Some((recorded, actual)) = c.heap_tail {
+            out.push((
+                Finding::global(
+                    "counter",
+                    format!(
+                        "table {name}: recorded heap tail page {} of {} pages, chain ends at page {} after {}",
+                        recorded.page, recorded.pages, actual.page, actual.pages
+                    ),
+                ),
+                Some(Repair::RecountHeap(name.clone())),
+            ));
+        }
     }
     out
 }
@@ -611,6 +624,7 @@ fn audit_archis(archis: &ArchIS) -> Vec<Finding> {
 enum Repair {
     RebuildIndex(String, String),
     Recount(String),
+    RecountHeap(String),
     RecomputeStats(String),
 }
 
@@ -647,6 +661,19 @@ pub fn repair(path: impl AsRef<Path>) -> Result<Outcome> {
                             Err(e) => findings.push(Finding::global(
                                 "counter",
                                 format!("table {table}: recount failed: {e}"),
+                            )),
+                        }
+                    }
+                    Some(Repair::RecountHeap(table)) => {
+                        match db.table(&table).and_then(|t| t.recount_heap()) {
+                            Ok(Some((_, actual))) => repairs.push(format!(
+                                "table {table}: heap tail corrected to page {} of {} pages",
+                                actual.page, actual.pages
+                            )),
+                            Ok(None) => {}
+                            Err(e) => findings.push(Finding::global(
+                                "counter",
+                                format!("table {table}: heap recount failed: {e}"),
                             )),
                         }
                     }

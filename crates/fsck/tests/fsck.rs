@@ -121,7 +121,7 @@ fn heap_page_bit_flip_is_reported_not_repaired() {
     // an open failure rather than a scan-time base finding.
     let heap_last = {
         let db = Database::open_file(&path, 256).unwrap();
-        let heap = HeapFile::open(db.pool().clone(), heap_first).unwrap();
+        let heap = HeapFile::open(db.pool().clone(), heap_first, None);
         let last = heap
             .scan()
             .unwrap()
@@ -393,5 +393,77 @@ fn missing_and_phantom_stats_entries_are_findings() {
     let repair = archis_fsck::repair(&path).unwrap();
     assert_eq!(repair.exit_code(), 0, "{}", repair.render());
     assert_eq!(archis_fsck::check(&path).unwrap().exit_code(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrite one table's catalog record on the closed base file (the
+/// catalog heap is anchored at page 0).
+fn tamper_catalog_record(path: &std::path::Path, table: &str, f: impl Fn(&mut Vec<Value>)) {
+    use relstore::page::{SlottedPage, PAGE_SIZE};
+    use relstore::value::{decode_row, encode_row};
+    use relstore::{FilePager, Pager};
+    let pager = FilePager::open(path).unwrap();
+    let mut buf = vec![0u8; PAGE_SIZE];
+    pager.read_page(0, &mut buf).unwrap();
+    let mut page = SlottedPage::new(&mut buf);
+    let (slot, mut row) = page
+        .records()
+        .map(|(slot, rec)| (slot, decode_row(rec).unwrap()))
+        .find(|(_, row)| row[0] == Value::Str(table.into()))
+        .expect("catalog record on page 0");
+    f(&mut row);
+    page.update_in_place(slot, &encode_row(&row)).unwrap();
+    pager.write_page(0, &buf).unwrap();
+    pager.sync().unwrap();
+}
+
+/// The recorded heap tail / page count is a cached counter like the row
+/// count: a record that disagrees with the chain is a `counter` finding,
+/// repair recounts it from the chain, and no row is touched.
+#[test]
+fn stale_heap_tail_is_detected_and_recounted() {
+    let dir = tmpdir("heaptail");
+    let path = dir.join("db.pages");
+    let (pristine, _, heap_first) = build_fixture(&path);
+    assert_eq!(archis_fsck::check(&path).unwrap().exit_code(), 0);
+
+    // Claim the chain is one page long and ends where it starts.
+    tamper_catalog_record(&path, "people", |row| {
+        assert_eq!(row.len(), 10, "catalog record carries tail and page count");
+        assert!(row[9].as_int().unwrap() > 1, "fixture spans several pages");
+        row[8] = Value::Int(heap_first as i64);
+        row[9] = Value::Int(1);
+    });
+    let check = archis_fsck::check(&path).unwrap();
+    assert_eq!(check.exit_code(), 1);
+    assert!(
+        check
+            .findings
+            .iter()
+            .any(|f| f.kind == "counter" && f.message.contains("heap tail")),
+        "{}",
+        check.render()
+    );
+    assert_eq!(
+        dump(&path, "people"),
+        pristine,
+        "reads never trust the tail"
+    );
+
+    let repair = archis_fsck::repair(&path).unwrap();
+    assert_eq!(repair.exit_code(), 0, "{}", repair.render());
+    assert!(
+        repair.repairs.iter().any(|r| r.contains("heap tail")),
+        "{}",
+        repair.render()
+    );
+    assert_eq!(archis_fsck::check(&path).unwrap().exit_code(), 0);
+    assert_eq!(dump(&path, "people"), pristine);
+
+    // A record from before the counters existed (eight fields) is not a
+    // finding: it opens, answers, and checks clean.
+    tamper_catalog_record(&path, "people", |row| row.truncate(8));
+    assert_eq!(archis_fsck::check(&path).unwrap().exit_code(), 0);
+    assert_eq!(dump(&path, "people"), pristine);
     std::fs::remove_dir_all(&dir).ok();
 }

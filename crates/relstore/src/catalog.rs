@@ -1,7 +1,7 @@
 //! The database catalog: named tables over one shared buffer pool.
 
 use crate::buffer::BufferPool;
-use crate::heap::HeapFile;
+use crate::heap::{HeapFile, HeapTail, RecordId};
 use crate::pager::{FilePager, MemPager};
 use crate::table::{IndexDef, Table, TableRoots};
 use crate::value::{decode_row, encode_row, DataType, Field, Schema, Value};
@@ -135,7 +135,9 @@ impl Database {
                 aborted: std::sync::atomic::AtomicBool::new(false),
             });
         }
-        let catalog = HeapFile::open(pool.clone(), 0)?;
+        // The catalog's own tail is recorded nowhere; the first append to
+        // it (a new table) finds it. Loading only scans.
+        let catalog = HeapFile::open(pool.clone(), 0, None);
         let mut tables = HashMap::new();
         for (_, rec) in catalog.scan()? {
             let row = decode_row(&rec)?;
@@ -158,19 +160,27 @@ impl Database {
         })
     }
 
-    /// Rewrite the durable catalog records (every table's schema + current
-    /// roots). Must happen inside every transaction that touches a table:
-    /// B+tree roots move when they split and the per-table row/sequence
-    /// counters advance on every insert, so recovery to the last commit is
-    /// only self-consistent if the catalog committed with the data.
+    /// Bring the durable catalog records (every table's schema + current
+    /// roots) up to date. Must happen inside every transaction that
+    /// touches a table: B+tree roots move when they split and the
+    /// per-table row/sequence/page counters advance on every insert, so
+    /// recovery to the last commit is only self-consistent if the catalog
+    /// committed with the data.
+    ///
+    /// A record is rewritten only when its encoding changed, and then on
+    /// the page it already lives on ([`HeapFile::update`]), so the catalog
+    /// chain stays as long as the schema needs no matter how many commits
+    /// pass — every open and every snapshot begin scans it.
     fn persist_catalog(&self) -> Result<()> {
         let catalog = self
             .catalog
             .as_ref()
             .ok_or_else(|| StoreError::Io("persist needs a durable database".into()))?;
-        // Replace all catalog records (tombstoning the old ones).
-        for (rid, _) in catalog.scan()? {
-            catalog.delete(rid)?;
+        let mut stored: HashMap<String, (RecordId, Vec<u8>)> = HashMap::new();
+        for item in catalog.cursor() {
+            let (rid, rec) = item?;
+            let name = CatalogEntry::name_of(&decode_row(&rec)?)?;
+            stored.insert(name, (rid, rec));
         }
         for (name, table) in self.tables.read().iter() {
             let entry = CatalogEntry {
@@ -180,7 +190,20 @@ impl Database {
                 cluster: table.cluster_columns(),
                 roots: table.roots(),
             };
-            catalog.insert(&encode_row(&entry.to_row()))?;
+            let rec = encode_row(&entry.to_row());
+            match stored.remove(name) {
+                Some((_, old)) if old == rec => {}
+                Some((rid, _)) => {
+                    catalog.update(rid, &rec)?;
+                }
+                None => {
+                    catalog.insert(&rec)?;
+                }
+            }
+        }
+        // What is left belongs to dropped tables.
+        for (rid, _) in stored.into_values() {
+            catalog.delete(rid)?;
         }
         Ok(())
     }
@@ -381,6 +404,12 @@ impl Database {
         Ok(fresh)
     }
 
+    /// Pages in the durable catalog's own chain (0 for in-memory
+    /// databases): what every open and every snapshot begin scans.
+    pub fn catalog_pages(&self) -> Result<u64> {
+        self.catalog.as_ref().map_or(Ok(0), |c| Ok(c.walk()?.pages))
+    }
+
     /// Reachable pages across all tables and their indexes.
     pub fn reachable_pages(&self) -> Result<u64> {
         let tables = self.tables.read();
@@ -482,10 +511,15 @@ fn dtype_of(tag: &str) -> Result<DataType> {
 
 impl CatalogEntry {
     /// Row layout:
-    /// `[name, kind, cluster-csv, schema-spec, base, seq, rows, index-spec]`
-    /// where schema-spec is `col:type,...` and index-spec is
-    /// `name|col,col|root;...` (column names are SQL identifiers, so the
-    /// separators cannot occur inside them).
+    /// `[name, kind, cluster-csv, schema-spec, base, seq, rows, index-spec,
+    /// heap-tail, heap-pages]` where schema-spec is `col:type,...` and
+    /// index-spec is `name|col,col|root;...` (column names are SQL
+    /// identifiers, so the separators cannot occur inside them). The last
+    /// two fields are the heap chain's tail page and length
+    /// ([`TableRoots::heap`]); `-1, 0` stands for "not recorded" so the
+    /// record keeps its size when they become known. Records written
+    /// before the counters existed have eight fields and decode the same
+    /// way.
     fn to_row(&self) -> Vec<Value> {
         let schema_spec = self
             .schema
@@ -501,6 +535,10 @@ impl CatalogEntry {
             .map(|(def, root)| format!("{}|{}|{}", def.name, def.columns.join(","), root))
             .collect::<Vec<_>>()
             .join(";");
+        let (tail, pages) = self
+            .roots
+            .heap
+            .map_or((-1, 0), |t| (t.page as i64, t.pages as i64));
         vec![
             Value::Str(self.name.clone()),
             Value::Int(matches!(self.kind, StorageKind::Clustered) as i64),
@@ -510,13 +548,26 @@ impl CatalogEntry {
             Value::Int(self.roots.seq as i64),
             Value::Int(self.roots.rows as i64),
             Value::Str(index_spec),
+            Value::Int(tail),
+            Value::Int(pages),
         ]
     }
 
+    fn corrupt(m: &str) -> StoreError {
+        StoreError::corrupt(crate::CorruptObject::Catalog, format!("record: {m}"))
+    }
+
+    /// The table a catalog record describes.
+    fn name_of(row: &[Value]) -> Result<String> {
+        row.first()
+            .and_then(Value::as_str)
+            .map(String::from)
+            .ok_or_else(|| Self::corrupt("expected a string field"))
+    }
+
     fn from_row(row: &[Value]) -> Result<CatalogEntry> {
-        let corrupt =
-            |m: &str| StoreError::corrupt(crate::CorruptObject::Catalog, format!("record: {m}"));
-        if row.len() != 8 {
+        let corrupt = Self::corrupt;
+        if row.len() != 8 && row.len() != 10 {
             return Err(corrupt("wrong arity"));
         }
         let get_str = |i: usize| -> Result<&str> {
@@ -529,7 +580,7 @@ impl CatalogEntry {
                 .as_int()
                 .ok_or_else(|| corrupt("expected an int field"))
         };
-        let name = get_str(0)?.to_string();
+        let name = Self::name_of(row)?;
         let kind = if get_int(1)? == 1 {
             StorageKind::Clustered
         } else {
@@ -569,6 +620,14 @@ impl CatalogEntry {
                 root,
             ));
         }
+        let heap = if row.len() == 10 && get_int(9)? > 0 {
+            Some(HeapTail {
+                page: get_int(8)? as u64,
+                pages: get_int(9)? as u64,
+            })
+        } else {
+            None
+        };
         Ok(CatalogEntry {
             name,
             schema: Schema::new(fields),
@@ -578,6 +637,7 @@ impl CatalogEntry {
                 base: get_int(4)? as u64,
                 seq: get_int(5)? as u64,
                 rows: get_int(6)? as u64,
+                heap,
                 indexes,
             },
         })
@@ -640,13 +700,125 @@ mod tests {
         );
     }
 
-    fn wal_db() -> Database {
+    fn wal_pager() -> Arc<dyn crate::pager::Pager> {
         use crate::pager::MemPager;
         use crate::wal::{MemLog, WalConfig, WalPager};
         let base = Arc::new(MemPager::new());
         let log = Arc::new(MemLog::new());
-        let pager = Arc::new(WalPager::open(base, log, WalConfig::with_group_commit(1)).unwrap());
-        Database::open_pool(Arc::new(BufferPool::new(pager, 256))).unwrap()
+        Arc::new(WalPager::open(base, log, WalConfig::with_group_commit(1)).unwrap())
+    }
+
+    fn open_on(pager: &Arc<dyn crate::pager::Pager>) -> Database {
+        Database::open_pool(Arc::new(BufferPool::new(pager.clone(), 256))).unwrap()
+    }
+
+    fn wal_db() -> Database {
+        open_on(&wal_pager())
+    }
+
+    fn wide_row(i: i64) -> Vec<Value> {
+        vec![Value::Int(i), Value::Str(format!("{i:0>200}"))]
+    }
+
+    #[test]
+    fn reopening_reads_the_catalog_and_nothing_else() {
+        let pager = wal_pager();
+        let db = open_on(&pager);
+        let t = db
+            .create_table("t", schema(), StorageKind::Heap, &[])
+            .unwrap();
+        t.create_index("t_by_id", &["id"]).unwrap();
+        t.insert_all((0..2_000).map(wide_row)).unwrap();
+        db.commit().unwrap();
+        let recorded = t.roots().heap.expect("heap tables record their tail");
+        assert!(recorded.pages > 50);
+
+        // A second handle and a snapshot both come up after reading the
+        // catalog chain only, with the page count in hand.
+        let again = open_on(&pager);
+        let snap = db.begin_snapshot().unwrap();
+        for view in [&again, snap.database()] {
+            assert_eq!(
+                view.pool().stats().logical_reads,
+                db.catalog_pages().unwrap()
+            );
+            let t = view.table("t").unwrap();
+            assert_eq!(t.roots().heap, Some(recorded));
+            assert_eq!(t.base_page_count().unwrap(), recorded.pages);
+            assert_eq!(
+                view.pool().stats().logical_reads,
+                db.catalog_pages().unwrap()
+            );
+        }
+        // Appending through the reopened handle touches the tail, not the
+        // chain.
+        let before = again.pool().stats().logical_reads;
+        again.table("t").unwrap().insert(wide_row(2_000)).unwrap();
+        assert!(again.pool().stats().logical_reads - before < 10);
+    }
+
+    #[test]
+    fn eight_field_catalog_records_open_and_upgrade() {
+        let pager = wal_pager();
+        let pages = {
+            let db = open_on(&pager);
+            let t = db
+                .create_table("t", schema(), StorageKind::Heap, &[])
+                .unwrap();
+            t.insert_all((0..500).map(wide_row)).unwrap();
+            db.commit().unwrap();
+            // Rewrite the records the way the previous format had them.
+            let catalog = db.catalog.as_ref().unwrap();
+            for (rid, rec) in catalog.scan().unwrap() {
+                let mut row = decode_row(&rec).unwrap();
+                row.truncate(8);
+                catalog.update(rid, &encode_row(&row)).unwrap();
+            }
+            db.pool.flush_dirty().unwrap();
+            db.pool.pager().commit().unwrap();
+            t.base_page_count().unwrap()
+        };
+        let db = open_on(&pager);
+        let t = db.table("t").unwrap();
+        assert_eq!(t.row_count(), 500);
+        assert_eq!(t.roots().heap, None, "nothing recorded, nothing walked yet");
+        assert_eq!(t.scan().unwrap().len(), 500);
+        // The first question that needs the chain's length walks it once;
+        // the next commit records the answer for everyone after.
+        assert_eq!(t.base_page_count().unwrap(), pages);
+        t.insert(wide_row(500)).unwrap();
+        db.commit().unwrap();
+        let upgraded = open_on(&pager);
+        let t = upgraded.table("t").unwrap();
+        assert_eq!(t.roots().heap.map(|h| h.pages), Some(pages));
+        assert_eq!(t.scan().unwrap().len(), 501);
+    }
+
+    #[test]
+    fn catalog_chain_does_not_grow_with_commits() {
+        let db = wal_db();
+        let t = db
+            .create_table("t", schema(), StorageKind::Heap, &[])
+            .unwrap();
+        t.create_index("t_by_id", &["id"]).unwrap();
+        let u = db
+            .create_table("u", schema(), StorageKind::Clustered, &["id"])
+            .unwrap();
+        db.commit().unwrap();
+        let pages = db.catalog_pages().unwrap();
+        // Every commit changes both records (rows, sequence, tail, page
+        // count, and now and then a root page number gaining a digit).
+        for i in 0..1_000 {
+            t.insert(wide_row(i)).unwrap();
+            u.insert(wide_row(i)).unwrap();
+            db.commit().unwrap();
+        }
+        assert_eq!(db.catalog_pages().unwrap(), pages);
+        db.drop_table("u").unwrap();
+        db.commit().unwrap();
+        let snap = db.begin_snapshot().unwrap();
+        assert_eq!(snap.table_names(), vec!["t".to_string()]);
+        assert_eq!(snap.table("t").unwrap().row_count(), 1_000);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! configuration; clustered tables use [`crate::btree::BTree`] instead.
 
 use crate::buffer::BufferPool;
-use crate::page::{PageId, SlottedPage};
+use crate::page::{PageId, PageView, SlottedPage};
 use crate::{Result, StoreError};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -44,11 +44,36 @@ impl RecordId {
     }
 }
 
+/// Where a heap chain ends and how long it is: what an append needs and
+/// what the planner prices a sequential scan with. Persisted with the
+/// table's other roots so reattaching never walks the chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapTail {
+    /// Last page of the chain (the append target).
+    pub page: PageId,
+    /// Pages in the chain.
+    pub pages: u64,
+}
+
+/// What a [`HeapFile`] handle knows about its chain's end.
+#[derive(Clone, Copy)]
+enum Tail {
+    /// Nothing recorded (a store written before the counters existed):
+    /// the first append or page count walks the chain once.
+    Unknown,
+    /// Read from the catalog, not yet checked against the chain. Good
+    /// enough for a page count; an append first confirms the page really
+    /// is the last one.
+    Recorded(HeapTail),
+    /// Derived from the chain by this handle (created, walked or checked).
+    Known(HeapTail),
+}
+
 /// An unordered record file over the buffer pool.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     first: PageId,
-    last: Mutex<PageId>,
+    tail: Mutex<Tail>,
 }
 
 impl HeapFile {
@@ -63,28 +88,18 @@ impl HeapFile {
         Ok(HeapFile {
             pool,
             first: id,
-            last: Mutex::new(id),
+            tail: Mutex::new(Tail::Known(HeapTail { page: id, pages: 1 })),
         })
     }
 
-    /// Reattach to an existing heap file given its first page.
-    pub fn open(pool: Arc<BufferPool>, first: PageId) -> Result<Self> {
-        // Walk to the tail to restore the append cursor.
-        let mut last = first;
-        loop {
-            let frame = pool.get(last)?;
-            let mut guard = frame.write();
-            let page = SlottedPage::new(&mut guard.data[..]);
-            match page.next_page() {
-                Some(n) => last = n,
-                None => break,
-            }
-        }
-        Ok(HeapFile {
+    /// Reattach to an existing heap file given its first page and, when
+    /// the catalog recorded them, its tail and page count. Reads nothing.
+    pub fn open(pool: Arc<BufferPool>, first: PageId, recorded: Option<HeapTail>) -> Self {
+        HeapFile {
             pool,
             first,
-            last: Mutex::new(last),
-        })
+            tail: Mutex::new(recorded.map_or(Tail::Unknown, Tail::Recorded)),
+        }
     }
 
     /// First page of the chain (persist this as the table root).
@@ -92,18 +107,80 @@ impl HeapFile {
         self.first
     }
 
+    /// The chain's tail and page count as far as this handle knows them
+    /// (persist next to [`HeapFile::first_page`]); `None` until something
+    /// had to find out.
+    pub fn tail(&self) -> Option<HeapTail> {
+        match *self.tail.lock() {
+            Tail::Unknown => None,
+            Tail::Recorded(t) | Tail::Known(t) => Some(t),
+        }
+    }
+
+    /// Follow the chain from its first page to its last: what
+    /// [`HeapFile::tail`] should say. A chain longer than the store has
+    /// pages can only be a cycle.
+    pub fn walk(&self) -> Result<HeapTail> {
+        let limit = self.pool.pager().num_pages();
+        let mut at = HeapTail {
+            page: self.first,
+            pages: 1,
+        };
+        loop {
+            let frame = self.pool.get(at.page)?;
+            let next = PageView::new(&frame.read().data[..]).next_page();
+            match next {
+                None => return Ok(at),
+                Some(_) if at.pages >= limit => {
+                    return Err(StoreError::corrupt_at(
+                        at.page,
+                        crate::CorruptObject::Heap,
+                        "heap chain does not end",
+                    ))
+                }
+                Some(n) => {
+                    at = HeapTail {
+                        page: n,
+                        pages: at.pages + 1,
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tail to append to: a recorded one is trusted only after its
+    /// page proves to be the chain's last.
+    fn append_tail(&self, tail: &mut Tail) -> Result<HeapTail> {
+        let known = match *tail {
+            Tail::Known(t) => return Ok(t),
+            Tail::Recorded(t) => {
+                let frame = self.pool.get(t.page)?;
+                let is_last = PageView::new(&frame.read().data[..]).next_page().is_none();
+                if is_last {
+                    t
+                } else {
+                    self.walk()?
+                }
+            }
+            Tail::Unknown => self.walk()?,
+        };
+        *tail = Tail::Known(known);
+        Ok(known)
+    }
+
     /// Append a record, returning its address.
     pub fn insert(&self, record: &[u8]) -> Result<RecordId> {
-        let mut last = self.last.lock();
+        let mut tail = self.tail.lock();
+        let last = self.append_tail(&mut tail)?;
         {
-            let frame = self.pool.get(*last)?;
+            let frame = self.pool.get(last.page)?;
             let mut guard = frame.write();
             let mut page = SlottedPage::new(&mut guard.data[..]);
             if page.fits(record.len()) {
                 let slot = page.insert(record)?;
                 guard.dirty = true;
                 return Ok(RecordId {
-                    page: *last,
+                    page: last.page,
                     slot: slot as u16,
                 });
             }
@@ -116,13 +193,16 @@ impl HeapFile {
             guard.dirty = true;
         }
         {
-            let frame = self.pool.get(*last)?;
+            let frame = self.pool.get(last.page)?;
             let mut guard = frame.write();
             let mut page = SlottedPage::new(&mut guard.data[..]);
             page.set_next_page(Some(new_id));
             guard.dirty = true;
         }
-        *last = new_id;
+        *tail = Tail::Known(HeapTail {
+            page: new_id,
+            pages: last.pages + 1,
+        });
         let frame = self.pool.get(new_id)?;
         let mut guard = frame.write();
         let mut page = SlottedPage::new(&mut guard.data[..]);
@@ -136,10 +216,7 @@ impl HeapFile {
 
     /// Read a record by address. `None` if it was deleted.
     pub fn get(&self, rid: RecordId) -> Result<Option<Vec<u8>>> {
-        let frame = self.pool.get(rid.page)?;
-        let mut guard = frame.write();
-        let page = SlottedPage::new(&mut guard.data[..]);
-        Ok(page.get(rid.slot as usize).map(|r| r.to_vec()))
+        self.reader().get(rid)
     }
 
     /// Tombstone a record.
@@ -152,8 +229,8 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Overwrite a record in place if it fits, else delete + move.
-    /// Returns the (possibly new) address.
+    /// Overwrite a record on its page if the page can hold the new
+    /// payload, else delete + move. Returns the (possibly new) address.
     pub fn update(&self, rid: RecordId, record: &[u8]) -> Result<RecordId> {
         {
             let frame = self.pool.get(rid.page)?;
@@ -200,18 +277,27 @@ impl HeapFile {
         }
     }
 
-    /// Number of pages in the chain.
+    /// Number of pages in the chain. O(1) whenever the count is recorded
+    /// or was derived before; only a handle opened without one walks the
+    /// chain, once.
     pub fn page_count(&self) -> Result<u64> {
-        let mut n = 0;
-        let mut pid = Some(self.first);
-        while let Some(id) = pid {
-            n += 1;
-            let frame = self.pool.get(id)?;
-            let mut guard = frame.write();
-            let page = SlottedPage::new(&mut guard.data[..]);
-            pid = page.next_page();
+        let mut tail = self.tail.lock();
+        if let Tail::Recorded(t) | Tail::Known(t) = *tail {
+            return Ok(t.pages);
         }
-        Ok(n)
+        let walked = self.walk()?;
+        *tail = Tail::Known(walked);
+        Ok(walked.pages)
+    }
+
+    /// Re-derive tail and page count from the chain itself, replacing
+    /// whatever was recorded; returns `(recorded, actual)`. The repair
+    /// path for counters that diverged from the chain.
+    pub fn recount(&self) -> Result<(Option<HeapTail>, HeapTail)> {
+        let recorded = self.tail();
+        let actual = self.walk()?;
+        *self.tail.lock() = Tail::Known(actual);
+        Ok((recorded, actual))
     }
 }
 
@@ -229,8 +315,8 @@ impl HeapCursor {
     /// Copy one page's records into the batch and release the frame.
     fn load(&mut self, id: PageId) -> Result<()> {
         let frame = self.pool.get(id)?;
-        let mut guard = frame.write();
-        let page = SlottedPage::new(&mut guard.data[..]);
+        let guard = frame.read();
+        let page = PageView::new(&guard.data[..]);
         let recs: Vec<(RecordId, Vec<u8>)> = page
             .records()
             .map(|(slot, rec)| {
@@ -286,8 +372,8 @@ impl HeapReader {
     /// Read a record by address. `None` if it was deleted.
     pub fn get(&self, rid: RecordId) -> Result<Option<Vec<u8>>> {
         let frame = self.pool.get(rid.page)?;
-        let mut guard = frame.write();
-        let page = SlottedPage::new(&mut guard.data[..]);
+        let guard = frame.read();
+        let page = PageView::new(&guard.data[..]);
         Ok(page.get(rid.slot as usize).map(|r| r.to_vec()))
     }
 
@@ -359,10 +445,16 @@ mod tests {
         let same = h.update(a, b"short").unwrap();
         assert_eq!(same, a);
         assert_eq!(h.get(a).unwrap().unwrap(), b"short");
-        let moved = h.update(a, &[b'z'; 100]).unwrap();
+        // Growing keeps the address while the page has room...
+        let same = h.update(a, &[b'z'; 100]).unwrap();
+        assert_eq!(same, a);
+        assert_eq!(h.get(a).unwrap().unwrap(), vec![b'z'; 100]);
+        // ...and moves the record once it does not.
+        h.insert(&[b'f'; 3900]).unwrap();
+        let moved = h.update(a, &[b'y'; 500]).unwrap();
         assert_ne!(moved, a);
         assert_eq!(h.get(a).unwrap(), None, "old address tombstoned");
-        assert_eq!(h.get(moved).unwrap().unwrap(), vec![b'z'; 100]);
+        assert_eq!(h.get(moved).unwrap().unwrap(), vec![b'y'; 500]);
     }
 
     #[test]
@@ -374,10 +466,65 @@ mod tests {
         }
         let first = h.first_page();
         drop(h);
-        let h2 = HeapFile::open(pool, first).unwrap();
+        let h2 = HeapFile::open(pool, first, None);
         let before = h2.scan().unwrap().len();
         h2.insert(b"after-reopen").unwrap();
         assert_eq!(h2.scan().unwrap().len(), before + 1);
+    }
+
+    #[test]
+    fn recorded_tail_makes_reopen_and_append_o1() {
+        let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 64));
+        let h = HeapFile::create(pool.clone()).unwrap();
+        for i in 0..2000u32 {
+            h.insert(format!("record-{i:05}").as_bytes()).unwrap();
+        }
+        let (first, tail) = (h.first_page(), h.tail().unwrap());
+        assert!(tail.pages > 5);
+        drop(h);
+
+        // Reattaching with the recorded tail reads nothing; the page count
+        // is free and an append touches the tail page only.
+        let before = pool.stats().logical_reads;
+        let h2 = HeapFile::open(pool.clone(), first, Some(tail));
+        assert_eq!(h2.page_count().unwrap(), tail.pages);
+        assert_eq!(pool.stats().logical_reads, before);
+        h2.insert(b"appended").unwrap();
+        assert!(pool.stats().logical_reads - before <= 2);
+        assert_eq!(h2.scan().unwrap().len(), 2001);
+
+        // Without a recorded tail the first page count walks once, then
+        // is cached.
+        let h3 = HeapFile::open(pool.clone(), first, None);
+        assert_eq!(h3.tail(), None);
+        let before = pool.stats().logical_reads;
+        assert_eq!(h3.page_count().unwrap(), tail.pages);
+        assert_eq!(pool.stats().logical_reads - before, tail.pages);
+        assert_eq!(h3.page_count().unwrap(), tail.pages);
+        assert_eq!(pool.stats().logical_reads - before, tail.pages);
+    }
+
+    #[test]
+    fn stale_recorded_tail_is_caught_on_append_and_by_recount() {
+        let pool = Arc::new(BufferPool::new(Arc::new(MemPager::new()), 64));
+        let h = HeapFile::create(pool.clone()).unwrap();
+        let stale = h.tail().unwrap();
+        for i in 0..2000u32 {
+            h.insert(format!("record-{i:05}").as_bytes()).unwrap();
+        }
+        let (first, actual) = (h.first_page(), h.tail().unwrap());
+        drop(h);
+        // A tail that is not the chain's last page must not be appended
+        // to: the append walks to the real end instead.
+        let h2 = HeapFile::open(pool.clone(), first, Some(stale));
+        let rid = h2.insert(b"appended").unwrap();
+        assert_eq!(rid.page, actual.page);
+        assert_eq!(h2.tail(), Some(actual));
+        assert_eq!(h2.scan().unwrap().len(), 2001);
+        // recount reports what was recorded against what the chain says.
+        let h3 = HeapFile::open(pool, first, Some(stale));
+        assert_eq!(h3.recount().unwrap(), (Some(stale), actual));
+        assert_eq!(h3.tail(), Some(actual));
     }
 
     #[test]

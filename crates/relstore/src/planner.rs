@@ -19,8 +19,11 @@
 //!   ranges read only the covered fraction of the primary tree.
 //! * **Selectivity** — segment bounds resolve against the per-segment row
 //!   counts; temporal bounds interpolate the histogram; equality on a key
-//!   column uses distinct counts; everything else falls back to textbook
-//!   constants.
+//!   column uses distinct counts (and, on a table without statistics, the
+//!   row count: an equality probe through an index is taken for a key
+//!   lookup); ranges without statistics fall back to textbook constants.
+//!   A candidate may bind several leading columns of one key — an equality
+//!   prefix plus at most one range — and multiplies their selectivities.
 //!
 //! The chooser is deliberately advisory: callers re-apply every predicate
 //! as a filter, so a wrong estimate can only cost time, never correctness.
@@ -79,8 +82,8 @@ pub const INDEX_ENTRIES_PER_LEAF: f64 = 128.0;
 /// Fallback rows-per-page estimate when a table's page count is unknown.
 pub const ROWS_PER_PAGE_FALLBACK: f64 = 64.0;
 
-// Fallback selectivities when no statistics apply (textbook constants).
-const EQ_SEL_FALLBACK: f64 = 0.005;
+// Fallback range selectivities when no statistics apply (textbook
+// constants).
 const RANGE_SEL_FALLBACK: f64 = 0.25;
 const OPEN_RANGE_SEL_FALLBACK: f64 = 0.4;
 
@@ -535,7 +538,9 @@ pub struct TableProfile {
 }
 
 impl TableProfile {
-    /// Profile `table`, loading persisted segment stats from `db`.
+    /// Profile `table`, loading persisted segment stats from `db`. Row and
+    /// page counts come from the table's recorded counters, so the only
+    /// pages this reads are the stats table's.
     pub fn of(db: &Database, table: &Table) -> TableProfile {
         let rows = table.row_count() as f64;
         let base_pages = table
@@ -587,21 +592,91 @@ pub enum PathKind {
     Cluster,
 }
 
-/// One bounded column the engine found in the pushed-down predicates.
+/// The merged bounds the pushed-down predicates put on one column.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnBound {
+    /// The bounded column.
+    pub column: String,
+    /// Whether an equality bound participates (then `lo == hi`).
+    pub eq: bool,
+    /// Lower bound.
+    pub lo: Bound<Value>,
+    /// Upper bound.
+    pub hi: Bound<Value>,
+}
+
+impl ColumnBound {
+    /// The value an equality bound pins the column to.
+    fn eq_value(&self) -> Option<&Value> {
+        match (&self.lo, self.eq) {
+            (Bound::Included(v), true) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// One way to reach rows through a key (a secondary index or the clustered
+/// primary key): the leading key columns the predicates bind.
 #[derive(Debug, Clone)]
 pub struct ScanCandidate {
     /// `Index` or `Cluster` (a `Seq` candidate is always implicit).
     pub kind: PathKind,
     /// Secondary-index name for `Index` candidates.
     pub index: Option<String>,
-    /// The bounded column.
-    pub column: String,
-    /// Whether an equality bound participates.
-    pub eq: bool,
-    /// Leading-column bounds.
-    pub lo: Bound<Value>,
-    /// Leading-column upper bound.
-    pub hi: Bound<Value>,
+    /// Bounds on the key's leading columns, in key order: every column
+    /// but the last is bound by equality, the last by equality or a
+    /// range. Never empty.
+    pub bounds: Vec<ColumnBound>,
+}
+
+impl ScanCandidate {
+    /// The bounds usable on `key_columns` (a key's columns in key order):
+    /// the longest equality prefix, plus a range on the column after it if
+    /// there is one. Empty when the leading column is unbound.
+    pub fn usable_bounds(key_columns: &[String], bounded: &[ColumnBound]) -> Vec<ColumnBound> {
+        let mut out = Vec::new();
+        for col in key_columns {
+            let Some(b) = bounded.iter().find(|b| b.column == *col) else {
+                break;
+            };
+            out.push(b.clone());
+            if b.eq_value().is_none() {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The composite key interval to scan: the equality prefix's values
+    /// followed by the last column's bound. A prefix is a valid bound on
+    /// longer keys — an inclusive upper bound covers every key that
+    /// extends it — so the interval is a superset of the matching keys.
+    pub fn key_range(&self) -> (Bound<Vec<Value>>, Bound<Vec<Value>>) {
+        let (last, prefix) = match self.bounds.split_last() {
+            Some(split) => split,
+            None => return (Bound::Unbounded, Bound::Unbounded),
+        };
+        let prefix: Vec<Value> = prefix
+            .iter()
+            .filter_map(|b| b.eq_value().cloned())
+            .collect();
+        let extend = |b: &Bound<Value>| -> Bound<Vec<Value>> {
+            let with = |v: &Value| prefix.iter().cloned().chain([v.clone()]).collect();
+            match b {
+                Bound::Included(v) => Bound::Included(with(v)),
+                Bound::Excluded(v) => Bound::Excluded(with(v)),
+                Bound::Unbounded if prefix.is_empty() => Bound::Unbounded,
+                Bound::Unbounded => Bound::Included(prefix.clone()),
+            }
+        };
+        (extend(&last.lo), extend(&last.hi))
+    }
+
+    /// The bound columns, comma-separated (EXPLAIN label).
+    fn columns(&self) -> String {
+        let cols: Vec<&str> = self.bounds.iter().map(|b| b.column.as_str()).collect();
+        cols.join(",")
+    }
 }
 
 /// The chooser's verdict.
@@ -616,17 +691,24 @@ pub struct Choice {
     pub entry: PlanEntry,
 }
 
-/// Estimated fraction of rows matching `[lo, hi]` on `column`.
-pub fn selectivity(
-    profile: &TableProfile,
-    column: &str,
-    eq: bool,
-    lo: &Bound<Value>,
-    hi: &Bound<Value>,
-) -> f64 {
+/// Estimated fraction of rows a candidate's bounds let through: the
+/// product of its columns' selectivities (independence), never less than
+/// one row's worth.
+pub fn selectivity(profile: &TableProfile, cand: &ScanCandidate) -> f64 {
+    let sel: f64 = cand
+        .bounds
+        .iter()
+        .map(|b| column_selectivity(profile, b))
+        .product();
+    sel.clamp(1.0 / profile.rows.max(1.0), 1.0)
+}
+
+/// Estimated fraction of rows matching one column's bound.
+pub fn column_selectivity(profile: &TableProfile, bound: &ColumnBound) -> f64 {
+    let ColumnBound { column, eq, lo, hi } = bound;
     let rows = profile.rows.max(1.0);
     if !profile.segs.is_empty() {
-        match column {
+        match column.as_str() {
             "segno" => {
                 let mut matched = 0.0;
                 let mut counted = 0.0;
@@ -681,7 +763,7 @@ pub fn selectivity(
                 }
             }
             _ => {
-                if eq {
+                if *eq {
                     // Equality on a key-ish column: distinct estimate. Keys
                     // recur across segments (live rows are carried
                     // forward), so the table-wide distinct count is close
@@ -698,9 +780,13 @@ pub fn selectivity(
             }
         }
     }
-    // Stats-free fallbacks.
-    if eq {
-        EQ_SEL_FALLBACK.max(1.0 / rows)
+    // No statistics. Candidates bind key columns only, and the one thing
+    // known about a key is its tree's entry count — the table's row
+    // counter: an equality probe is priced as a key lookup, one entry of
+    // that many. A wrong guess costs time, bounded by the fetch cap in
+    // `candidate_cost`, never rows.
+    if *eq {
+        1.0 / rows
     } else {
         match (lo, hi) {
             (Bound::Unbounded, Bound::Unbounded) => 1.0,
@@ -761,11 +847,14 @@ fn candidate_cost(profile: &TableProfile, cand: &ScanCandidate, sel: f64) -> (f6
             // Archived segments are written contiguously at archival time
             // (the paper's §6 segment clustering), so a `segno` range that
             // stays below the live segment walks sequential runs the
-            // prefetcher can overlap — price it like a clustered range.
-            // The live segment is mutation churn and gets no such break.
-            let archived_run = cand.column == "segno"
-                && !profile.segs.is_empty()
-                && !int_in_bounds(LIVE_SEGNO, &cand.lo, &cand.hi);
+            // prefetcher can overlap — price it like a clustered range
+            // (a segment is sorted by id, so binding the id as well only
+            // shortens the run). The live segment is mutation churn and
+            // gets no such break.
+            let archived_run = !profile.segs.is_empty()
+                && cand.bounds.first().is_some_and(|b| {
+                    b.column == "segno" && !int_in_bounds(LIVE_SEGNO, &b.lo, &b.hi)
+                });
             if archived_run {
                 let pages = (sel * profile.base_pages).ceil() * profile.seq_discount();
                 let cost = BTREE_DESCENT_COST
@@ -773,9 +862,11 @@ fn candidate_cost(profile: &TableProfile, cand: &ScanCandidate, sel: f64) -> (f6
                     + est_rows * CPU_ROW_COST;
                 return (cost, est_rows, BTREE_DESCENT_COST + leaf_pages + pages);
             }
-            // Row fetches are random single-page reads, but can never
-            // exceed re-reading the whole base twice over (eviction bound).
-            let fetch_pages = est_rows.min(2.0 * profile.base_pages);
+            // Row fetches are random single-page reads; k rows scattered
+            // over P pages land on P·(1 − (1 − 1/P)^k) distinct ones
+            // (Cardenas) — about k while k ≪ P, never more than P.
+            let p = profile.base_pages;
+            let fetch_pages = p * (1.0 - (1.0 - 1.0 / p).powf(est_rows));
             let cost = BTREE_DESCENT_COST
                 + leaf_pages * SEQ_PAGE_COST
                 + fetch_pages * RANDOM_PAGE_COST
@@ -794,22 +885,20 @@ fn path_label(cand: Option<&ScanCandidate>) -> String {
         None => "seq".to_string(),
         Some(c) => match c.kind {
             PathKind::Seq => "seq".to_string(),
-            PathKind::Cluster => format!("cluster({})", c.column),
-            PathKind::Index => format!(
-                "index({})",
-                c.index.clone().unwrap_or_else(|| c.column.clone())
-            ),
+            PathKind::Cluster => format!("cluster({})", c.columns()),
+            PathKind::Index => format!("index({})", c.index.clone().unwrap_or_else(|| c.columns())),
         },
     }
 }
 
 /// Pick an access path for one table scan.
 ///
-/// `candidates` must list at most one entry per bounded column, in the
-/// order the bounds appear in the predicate list (the old rule's
-/// tie-break). A sequential scan is always considered implicitly. The
-/// decision (including any `ARCHIS_FORCE_PATH` override) is appended to
-/// the thread's plan log.
+/// `candidates` lists first one single-column entry per bounded leading
+/// key column, in the order the bounds appear in the predicate list (the
+/// old rule's tie-break; `rule` looks at nothing else), then the
+/// multi-column ones. A sequential scan is always considered implicitly.
+/// The decision (including any `ARCHIS_FORCE_PATH` override) is appended
+/// to the thread's plan log.
 pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choice {
     let forced = forced_path();
     let (winner, chosen_by): (Option<usize>, String) = match forced {
@@ -826,7 +915,7 @@ pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choi
         None => (pick_cheapest(profile, candidates, None), "cost".to_string()),
     };
     let cand = winner.map(|i| &candidates[i]);
-    let sel = cand.map_or(1.0, |c| selectivity(profile, &c.column, c.eq, &c.lo, &c.hi));
+    let sel = cand.map_or(1.0, |c| selectivity(profile, c));
     let (cost, est_rows, est_pages) = match cand {
         None => {
             let pages = profile.base_pages * profile.seq_discount();
@@ -864,8 +953,7 @@ fn pick_cheapest(
                 continue;
             }
         }
-        let sel = selectivity(profile, &c.column, c.eq, &c.lo, &c.hi);
-        let (cost, _, _) = candidate_cost(profile, c, sel);
+        let (cost, _, _) = candidate_cost(profile, c, selectivity(profile, c));
         if best.is_none_or(|(_, b)| cost < b) {
             best = Some((i, cost));
         }
@@ -882,13 +970,18 @@ fn pick_cheapest(
 }
 
 /// The pre-planner fixed rule: first bounded column wins; a later
-/// equality-bounded column replaces a range-bounded choice.
+/// equality-bounded column replaces a range-bounded choice. The rule
+/// predates multi-column candidates and does not see them.
 fn rule_choice(candidates: &[ScanCandidate]) -> Option<usize> {
+    let eq = |c: &ScanCandidate| c.bounds.first().is_some_and(|b| b.eq);
     let mut best: Option<usize> = None;
     for (i, c) in candidates.iter().enumerate() {
+        if c.bounds.len() != 1 {
+            continue;
+        }
         match best {
             None => best = Some(i),
-            Some(b) if !candidates[b].eq && c.eq => best = Some(i),
+            Some(b) if !eq(&candidates[b]) && eq(c) => best = Some(i),
             _ => {}
         }
     }
@@ -909,6 +1002,49 @@ mod tests {
 
     fn reset_force() {
         set_forced_path(None);
+    }
+
+    fn bound(column: &str, eq: bool, lo: Bound<Value>, hi: Bound<Value>) -> ColumnBound {
+        ColumnBound {
+            column: column.into(),
+            eq,
+            lo,
+            hi,
+        }
+    }
+
+    fn eq_bound(column: &str, v: i64) -> ColumnBound {
+        bound(
+            column,
+            true,
+            Bound::Included(Value::Int(v)),
+            Bound::Included(Value::Int(v)),
+        )
+    }
+
+    /// An H-table of ten archived segments, 1 000 rows and 1 000 distinct
+    /// keys each, on 200 pages.
+    fn ten_segment_profile() -> TableProfile {
+        let rows: Vec<(i64, Date, Date)> = (0..1000)
+            .map(|i| (i, d("1990-01-01"), d("1995-01-01")))
+            .collect();
+        TableProfile {
+            name: "t".into(),
+            rows: 10_000.0,
+            base_pages: 200.0,
+            prefetch: false,
+            segs: (1..=10)
+                .map(|sn| SegStat::compute("t", sn, &rows))
+                .collect(),
+        }
+    }
+
+    fn index_cand(index: &str, bounds: Vec<ColumnBound>) -> ScanCandidate {
+        ScanCandidate {
+            kind: PathKind::Index,
+            index: Some(index.into()),
+            bounds,
+        }
     }
 
     #[test]
@@ -957,14 +1093,15 @@ mod tests {
         let _g = FORCE_LOCK.lock();
         reset_force();
         let profile = TableProfile::bare("t", 100_000, 1_600, false);
-        let cand = ScanCandidate {
-            kind: PathKind::Index,
-            index: Some("by_id".into()),
-            column: "id".into(),
-            eq: false,
-            lo: Bound::Included(Value::Int(0)),
-            hi: Bound::Unbounded,
-        };
+        let cand = index_cand(
+            "by_id",
+            vec![bound(
+                "id",
+                false,
+                Bound::Included(Value::Int(0)),
+                Bound::Unbounded,
+            )],
+        );
         let choice = take_choice(&profile, &[cand]);
         assert_eq!(choice.kind, PathKind::Seq, "sel≈0.4 range must not probe");
     }
@@ -974,14 +1111,15 @@ mod tests {
         let _g = FORCE_LOCK.lock();
         reset_force();
         let profile = TableProfile::bare("t", 100_000, 1_600, false);
-        let cand = ScanCandidate {
-            kind: PathKind::Index,
-            index: Some("by_id".into()),
-            column: "id".into(),
-            eq: true,
-            lo: Bound::Included(Value::Int(42)),
-            hi: Bound::Included(Value::Int(42)),
-        };
+        let cand = index_cand(
+            "by_id",
+            vec![bound(
+                "id",
+                true,
+                Bound::Included(Value::Int(42)),
+                Bound::Included(Value::Int(42)),
+            )],
+        );
         let choice = take_choice(&profile, &[cand]);
         assert_eq!(choice.kind, PathKind::Index);
     }
@@ -989,54 +1127,137 @@ mod tests {
     #[test]
     fn segment_stats_drive_segno_selectivity() {
         // selectivity() never consults the force flag: no lock needed.
-        let mut segs = Vec::new();
-        for sn in 1..=10 {
-            let rows: Vec<(i64, Date, Date)> = (0..1000)
-                .map(|i| (i, d("1990-01-01"), d("1995-01-01")))
-                .collect();
-            let mut s = SegStat::compute("t", sn, &rows);
-            s.rows = 1000;
-            segs.push(s);
-        }
-        let profile = TableProfile {
-            name: "t".into(),
-            rows: 10_000.0,
-            base_pages: 200.0,
-            prefetch: false,
-            segs,
-        };
+        let profile = ten_segment_profile();
         // One segment out of ten.
-        let sel = selectivity(
-            &profile,
-            "segno",
-            true,
-            &Bound::Included(Value::Int(3)),
-            &Bound::Included(Value::Int(3)),
-        );
+        let sel = column_selectivity(&profile, &eq_bound("segno", 3));
         assert!((sel - 0.1).abs() < 1e-9, "sel {sel}");
         // All segments.
-        let sel_all = selectivity(
+        let sel_all = column_selectivity(
             &profile,
-            "segno",
-            false,
-            &Bound::Included(Value::Int(1)),
-            &Bound::Unbounded,
+            &bound(
+                "segno",
+                false,
+                Bound::Included(Value::Int(1)),
+                Bound::Unbounded,
+            ),
         );
         assert!((sel_all - 1.0).abs() < 1e-9, "sel {sel_all}");
+        // One id within one segment: the columns' selectivities multiply
+        // (1/10 of the rows × 1/1000 distinct keys = one row).
+        let point = index_cand("by_seg", vec![eq_bound("segno", 3), eq_bound("id", 7)]);
+        assert!((selectivity(&profile, &point) * profile.rows - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn usable_bounds_take_an_equality_prefix_then_one_range() {
+        let key: Vec<String> = ["segno", "id", "tstart"].map(String::from).to_vec();
+        let range = |c: &str| {
+            bound(
+                c,
+                false,
+                Bound::Included(Value::Int(2)),
+                Bound::Excluded(Value::Int(9)),
+            )
+        };
+        let cols = |bs: &[ColumnBound]| -> Vec<String> {
+            ScanCandidate::usable_bounds(&key, bs)
+                .iter()
+                .map(|b| b.column.clone())
+                .collect()
+        };
+        // Leading column unbound: the key is unusable.
+        assert!(cols(&[eq_bound("id", 1)]).is_empty());
+        // Equality prefix extends as far as equalities go...
+        assert_eq!(
+            cols(&[eq_bound("id", 1), eq_bound("segno", 4)]),
+            ["segno", "id"]
+        );
+        // ...a range ends it, whatever is bound behind it.
+        assert_eq!(cols(&[range("segno"), eq_bound("id", 1)]), ["segno"]);
+        assert_eq!(
+            cols(&[eq_bound("segno", 4), range("id"), eq_bound("tstart", 0)]),
+            ["segno", "id"]
+        );
+
+        let point = index_cand("k", vec![eq_bound("segno", 4), eq_bound("id", 1)]);
+        let both = vec![Value::Int(4), Value::Int(1)];
+        assert_eq!(
+            point.key_range(),
+            (Bound::Included(both.clone()), Bound::Included(both))
+        );
+        let ranged = index_cand("k", vec![eq_bound("segno", 4), range("id")]);
+        assert_eq!(
+            ranged.key_range(),
+            (
+                Bound::Included(vec![Value::Int(4), Value::Int(2)]),
+                Bound::Excluded(vec![Value::Int(4), Value::Int(9)])
+            )
+        );
+        // An open side falls back to the prefix alone.
+        let open = index_cand(
+            "k",
+            vec![
+                eq_bound("segno", 4),
+                bound(
+                    "id",
+                    false,
+                    Bound::Unbounded,
+                    Bound::Excluded(Value::Int(9)),
+                ),
+            ],
+        );
+        assert_eq!(open.key_range().0, Bound::Included(vec![Value::Int(4)]));
+    }
+
+    #[test]
+    fn rule_and_forced_kinds_with_composite_candidates() {
+        let _g = FORCE_LOCK.lock();
+        let profile = ten_segment_profile();
+        let cands = [
+            index_cand("by_seg", vec![eq_bound("segno", 3)]),
+            index_cand("by_id", vec![eq_bound("id", 7)]),
+            index_cand("by_seg", vec![eq_bound("segno", 3), eq_bound("id", 7)]),
+        ];
+        // Cost-based and forced `index` both take the point access; the
+        // old rule never sees it and keeps its first single-column bound.
+        reset_force();
+        assert_eq!(take_choice(&profile, &cands).candidate, Some(2));
+        set_forced_path(Some(ForcedPath::Index));
+        assert_eq!(take_choice(&profile, &cands).candidate, Some(2));
+        set_forced_path(Some(ForcedPath::Rule));
+        assert_eq!(take_choice(&profile, &cands).candidate, Some(0));
+        reset_force();
+        let entry = take_choice(&profile, &cands).entry;
+        assert_eq!(entry.path, "index(by_seg)");
+        assert!(entry.est_rows < 2.0 && entry.est_pages < 10.0, "{entry}");
+    }
+
+    #[test]
+    fn stats_free_equality_is_priced_as_a_key_lookup() {
+        let _g = FORCE_LOCK.lock();
+        reset_force();
+        // A small key table: eleven pages, no statistics. The probe must
+        // win over reading all of it.
+        let profile = TableProfile::bare("employee_id", 1_148, 11, false);
+        let cand = index_cand("employee_id_by_id", vec![eq_bound("id", 100_104)]);
+        let choice = take_choice(&profile, std::slice::from_ref(&cand));
+        assert_eq!(choice.kind, PathKind::Index);
+        assert!(choice.entry.est_rows <= 1.0 + 1e-9);
     }
 
     #[test]
     fn forced_paths_override_cost() {
         let _g = FORCE_LOCK.lock();
         let profile = TableProfile::bare("t", 100_000, 1_600, false);
-        let cand = ScanCandidate {
-            kind: PathKind::Index,
-            index: Some("by_id".into()),
-            column: "id".into(),
-            eq: false,
-            lo: Bound::Included(Value::Int(0)),
-            hi: Bound::Unbounded,
-        };
+        let cand = index_cand(
+            "by_id",
+            vec![bound(
+                "id",
+                false,
+                Bound::Included(Value::Int(0)),
+                Bound::Unbounded,
+            )],
+        );
         set_forced_path(Some(ForcedPath::Index));
         let c = take_choice(&profile, std::slice::from_ref(&cand));
         assert_eq!(c.kind, PathKind::Index);
@@ -1051,22 +1272,24 @@ mod tests {
 
     #[test]
     fn rule_prefers_equality_in_pred_order() {
-        let range = ScanCandidate {
-            kind: PathKind::Index,
-            index: Some("a".into()),
-            column: "x".into(),
-            eq: false,
-            lo: Bound::Included(Value::Int(0)),
-            hi: Bound::Unbounded,
-        };
-        let eq = ScanCandidate {
-            kind: PathKind::Index,
-            index: Some("b".into()),
-            column: "y".into(),
-            eq: true,
-            lo: Bound::Included(Value::Int(1)),
-            hi: Bound::Included(Value::Int(1)),
-        };
+        let range = index_cand(
+            "a",
+            vec![bound(
+                "x",
+                false,
+                Bound::Included(Value::Int(0)),
+                Bound::Unbounded,
+            )],
+        );
+        let eq = index_cand(
+            "b",
+            vec![bound(
+                "y",
+                true,
+                Bound::Included(Value::Int(1)),
+                Bound::Included(Value::Int(1)),
+            )],
+        );
         assert_eq!(rule_choice(&[range.clone(), eq.clone()]), Some(1));
         assert_eq!(rule_choice(&[eq.clone(), range.clone()]), Some(0));
         assert_eq!(rule_choice(&[range.clone(), range]), Some(0));

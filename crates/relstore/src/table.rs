@@ -14,7 +14,7 @@
 use crate::btree::{BTree, RangeIter};
 use crate::buffer::BufferPool;
 use crate::catalog::StorageKind;
-use crate::heap::{HeapCursor, HeapFile, HeapReader, RecordId};
+use crate::heap::{HeapCursor, HeapFile, HeapReader, HeapTail, RecordId};
 use crate::page::PageId;
 use crate::value::{decode_row, encode_key, encode_row, Schema, Value};
 use crate::{Result, StoreError};
@@ -48,13 +48,18 @@ pub struct TableRoots {
     pub seq: u64,
     /// Live row count.
     pub rows: u64,
+    /// Heap tables: the chain's last page and its length, so reattaching
+    /// and planning never walk the chain. `None` for clustered tables and
+    /// for records written before the counters existed.
+    pub heap: Option<HeapTail>,
     /// Secondary indexes with their B+tree roots.
     pub indexes: Vec<(IndexDef, crate::page::PageId)>,
 }
 
 /// Findings from [`Table::verify`]. Base-storage damage is report-only
 /// (rows are the source of truth); index and counter damage is repairable
-/// from base storage ([`Table::rebuild_index`] / [`Table::recount_rows`]).
+/// from base storage ([`Table::rebuild_index`] / [`Table::recount_rows`] /
+/// [`Table::recount_heap`]).
 #[derive(Debug, Clone, Default)]
 pub struct TableCheck {
     /// Problems reading base storage (heap or clustered primary).
@@ -63,12 +68,18 @@ pub struct TableCheck {
     pub bad_indexes: Vec<(String, String)>,
     /// `(cached, actual)` when the cached row counter diverges.
     pub row_count: Option<(u64, u64)>,
+    /// `(recorded, actual)` when a heap table's recorded tail page or page
+    /// count diverges from its chain.
+    pub heap_tail: Option<(HeapTail, HeapTail)>,
 }
 
 impl TableCheck {
     /// No findings at all.
     pub fn is_clean(&self) -> bool {
-        self.base_errors.is_empty() && self.bad_indexes.is_empty() && self.row_count.is_none()
+        self.base_errors.is_empty()
+            && self.bad_indexes.is_empty()
+            && self.row_count.is_none()
+            && self.heap_tail.is_none()
     }
 
     /// Findings exist but all are repairable from base storage.
@@ -187,6 +198,7 @@ impl Table {
             },
             seq: self.seq.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
+            heap: self.heap.as_ref().and_then(HeapFile::tail),
             indexes: self
                 .indexes
                 .read()
@@ -211,7 +223,10 @@ impl Table {
             .map(|c| schema.require(c))
             .collect::<Result<Vec<_>>>()?;
         let (heap, clustered) = match kind {
-            StorageKind::Heap => (Some(HeapFile::open(pool.clone(), roots.base)?), None),
+            StorageKind::Heap => (
+                Some(HeapFile::open(pool.clone(), roots.base, roots.heap)),
+                None,
+            ),
             StorageKind::Clustered => (None, Some(BTree::open(pool.clone(), roots.base))),
         };
         let indexes = roots
@@ -800,24 +815,29 @@ impl Table {
             }
         }
         for idx in self.indexes.read().iter() {
-            let key = encode_key(&select(row, &idx.cols));
-            // Every live row has exactly one entry per index; a missed
-            // delete means the index has already diverged from the base
-            // storage, and index_lookup would start returning handles of
-            // deleted rows. Fail loudly instead of corrupting silently.
-            if !idx.tree.delete(&key, handle)? {
-                return Err(StoreError::corrupt_at(
-                    idx.tree.root_page(),
-                    crate::CorruptObject::Index,
-                    format!(
-                        "table {}: index {} has no entry for deleted row",
-                        self.name, idx.def.name
-                    ),
-                ));
-            }
+            self.unindex(idx, &encode_key(&select(row, &idx.cols)), handle)?;
         }
         self.rows.fetch_sub(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Drop one row's entry from one index. Every live row has exactly one
+    /// entry per index; a missed delete means the index has already
+    /// diverged from the base storage, and index_lookup would start
+    /// returning handles of deleted rows. Fail loudly instead of
+    /// corrupting silently.
+    fn unindex(&self, idx: &Index, key: &[u8], handle: &[u8]) -> Result<()> {
+        if idx.tree.delete(key, handle)? {
+            return Ok(());
+        }
+        Err(StoreError::corrupt_at(
+            idx.tree.root_page(),
+            crate::CorruptObject::Index,
+            format!(
+                "table {}: index {} has no entry for deleted row",
+                self.name, idx.def.name
+            ),
+        ))
     }
 
     /// Delete all rows matching `pred`; returns how many were removed.
@@ -834,7 +854,10 @@ impl Table {
     }
 
     /// Update all rows matching `pred` by applying `f`; returns how many
-    /// changed. Implemented as delete + reinsert so indexes stay correct.
+    /// changed. A heap row is rewritten on its page when the page can hold
+    /// the new encoding — its record id, and every index entry whose key
+    /// did not change, stay as they are — so a table rewritten over and
+    /// over does not grow. Clustered rows are deleted and reinserted.
     pub fn update_where(
         &self,
         pred: impl Fn(&[Value]) -> bool,
@@ -847,12 +870,34 @@ impl Table {
             .collect();
         let n = victims.len();
         for (handle, row) in victims {
-            self.remove_physical(&handle, &row)?;
-            let mut new_row = row;
+            let mut new_row = row.clone();
             f(&mut new_row);
-            self.insert(new_row)?;
+            match self.kind {
+                StorageKind::Heap => self.rewrite_heap_row(&handle, &row, new_row)?,
+                StorageKind::Clustered => {
+                    self.remove_physical(&handle, &row)?;
+                    self.insert(new_row)?;
+                }
+            }
         }
         Ok(n)
+    }
+
+    /// Replace the heap row at `handle`, moving it (and re-pointing its
+    /// index entries) only if its page cannot hold the new encoding.
+    fn rewrite_heap_row(&self, handle: &[u8], old: &[Value], new: Vec<Value>) -> Result<()> {
+        self.schema.check_row(&new)?;
+        let rid = RecordId::from_bytes(handle)?;
+        let new_rid = self.heap_store()?.update(rid, &encode_row(&new))?;
+        for idx in self.indexes.read().iter() {
+            let old_key = encode_key(&select(old, &idx.cols));
+            let new_key = encode_key(&select(&new, &idx.cols));
+            if new_rid != rid || new_key != old_key {
+                self.unindex(idx, &old_key, handle)?;
+                idx.tree.insert(&new_key, &new_rid.to_bytes())?;
+            }
+        }
+        Ok(())
     }
 
     /// Structural verification of the whole table: base storage (full
@@ -861,11 +906,7 @@ impl Table {
     /// returned as errors, so one finding never hides the rest — the
     /// contract fsck needs to plan repairs.
     pub fn verify(&self) -> TableCheck {
-        let mut check = TableCheck {
-            base_errors: Vec::new(),
-            bad_indexes: Vec::new(),
-            row_count: None,
-        };
+        let mut check = TableCheck::default();
         // Base storage: can every row still be read and decoded?
         let mut actual = 0u64;
         let mut base_ok = true;
@@ -891,6 +932,15 @@ impl Table {
             let cached = self.rows.load(Ordering::Relaxed);
             if cached != actual {
                 check.row_count = Some((cached, actual));
+            }
+            // The scan above read the whole chain, so this walk cannot
+            // fail. A tail nobody recorded yet is not a finding.
+            if let Some(heap) = &self.heap {
+                if let (Some(recorded), Ok(walked)) = (heap.tail(), heap.walk()) {
+                    if recorded != walked {
+                        check.heap_tail = Some((recorded, walked));
+                    }
+                }
             }
         }
         // Secondary indexes: structure check plus a full walk (the walk
@@ -971,6 +1021,13 @@ impl Table {
         Ok((cached, actual))
     }
 
+    /// Re-derive a heap table's tail page and page count from its chain
+    /// and overwrite the recorded ones; returns `(recorded, actual)`, or
+    /// `None` for clustered tables. The repair path for a diverged tail.
+    pub fn recount_heap(&self) -> Result<Option<(Option<HeapTail>, HeapTail)>> {
+        self.heap.as_ref().map(HeapFile::recount).transpose()
+    }
+
     /// Pages used by base storage plus all indexes (storage experiments).
     pub fn page_count(&self) -> Result<u64> {
         let base = self.base_page_count()?;
@@ -982,7 +1039,8 @@ impl Table {
     }
 
     /// Pages used by base storage alone (heap chain or clustered primary
-    /// tree) — what a sequential scan reads. The cost model's input.
+    /// tree) — what a sequential scan reads. The cost model's input; for
+    /// heap tables a recorded counter, not a walk.
     pub fn base_page_count(&self) -> Result<u64> {
         match self.kind {
             StorageKind::Heap => self.heap_store()?.page_count(),
@@ -1292,6 +1350,70 @@ mod tests {
                 1
             );
         }
+    }
+
+    #[test]
+    fn update_where_rewrites_heap_rows_in_place() {
+        let t = table(StorageKind::Heap);
+        t.create_index("by_id", &["id"]).unwrap();
+        t.create_index("by_salary", &["salary"]).unwrap();
+        for id in 0..4 {
+            t.insert(row(id, 1000 + id, "1990-01-01", "1991-01-01"))
+                .unwrap();
+        }
+        let pages = t.page_count().unwrap();
+        // Rewriting the same rows over and over (the meta-table pattern)
+        // must not consume a byte: same-size encodings overwrite in place.
+        for round in 0..2_000 {
+            let n = t
+                .update_where(|_| true, |r| r[1] = Value::Int(5000 + round))
+                .unwrap();
+            assert_eq!(n, 4);
+        }
+        assert_eq!(t.page_count().unwrap(), pages);
+        assert_eq!(t.row_count(), 4);
+        assert!(t.verify().is_clean(), "{:?}", t.verify());
+        assert_eq!(
+            t.index_lookup("by_salary", &[Value::Int(6999)])
+                .unwrap()
+                .len(),
+            4
+        );
+        assert_eq!(t.index_lookup("by_id", &[Value::Int(2)]).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn verify_and_recount_audit_the_recorded_heap_tail() {
+        let pool = pool();
+        let t = Table::create(pool.clone(), "t", emp_schema(), StorageKind::Heap, &[]).unwrap();
+        let early = t.roots();
+        for id in 0..2000 {
+            t.insert(row(id, id, "1990-01-01", "1991-01-01")).unwrap();
+        }
+        let good = t.roots();
+        assert!(good.heap.unwrap().pages > 5);
+        assert!(t.verify().is_clean());
+
+        // Reattach with the tail as recorded before the table grew: the
+        // audit reports it against the chain, recount repairs it.
+        let stale = TableRoots {
+            heap: early.heap,
+            ..good.clone()
+        };
+        let t2 =
+            Table::open_existing(pool, "t", emp_schema(), StorageKind::Heap, &[], &stale).unwrap();
+        let check = t2.verify();
+        assert_eq!(
+            check.heap_tail,
+            Some((early.heap.unwrap(), good.heap.unwrap()))
+        );
+        assert!(check.is_repairable() && !check.is_clean());
+        assert_eq!(
+            t2.recount_heap().unwrap(),
+            Some((early.heap, good.heap.unwrap()))
+        );
+        assert!(t2.verify().is_clean());
+        assert_eq!(t2.roots(), good);
     }
 
     #[test]

@@ -120,3 +120,63 @@ fn index_stream_matches_index_range() {
         "early-take over index stream faulted {reads} pages"
     );
 }
+
+/// Beginning a snapshot (and profiling or probing a table through it)
+/// costs what the catalog and the index descent cost — not what the table
+/// holds: doubling the table must not move the reads.
+#[test]
+fn snapshot_begin_and_point_probe_do_not_grow_with_the_table() {
+    use relstore::pager::MemPager;
+    use relstore::wal::{MemLog, WalConfig, WalPager};
+    use relstore::BufferPool;
+    use std::sync::Arc;
+    let pager = WalPager::open(
+        Arc::new(MemPager::new()),
+        Arc::new(MemLog::new()),
+        WalConfig::with_group_commit(1),
+    )
+    .unwrap();
+    let db = Database::open_pool(Arc::new(BufferPool::new(Arc::new(pager), 256))).unwrap();
+    let t = db
+        .create_table(
+            "t",
+            Schema::new(vec![
+                Field::new("k", DataType::Int),
+                Field::new("payload", DataType::Str),
+            ]),
+            StorageKind::Heap,
+            &[],
+        )
+        .unwrap();
+    t.create_index("t_by_k", &["k"]).unwrap();
+    let fill = |range: std::ops::Range<i64>| {
+        t.insert_all(range.map(|i| vec![Value::Int(i), Value::Str(format!("payload-{i:06}"))]))
+            .unwrap();
+        db.commit().unwrap();
+    };
+    // (reads to begin, reads to learn the page count and fetch one key)
+    let measure = || {
+        let snap = db.begin_snapshot().unwrap();
+        let begin = snap.pool().stats().logical_reads;
+        let t = snap.table("t").unwrap();
+        let pages = t.base_page_count().unwrap();
+        let hit = t.index_lookup("t_by_k", &[Value::Int(4_321)]).unwrap();
+        assert_eq!(hit.len(), 1);
+        (begin, snap.pool().stats().logical_reads - begin, pages)
+    };
+    fill(0..ROWS);
+    let (begin_1, probe_1, pages_1) = measure();
+    fill(ROWS..2 * ROWS);
+    let (begin_2, probe_2, pages_2) = measure();
+    assert!(pages_2 >= 2 * pages_1 - 1 && pages_1 > 50);
+    assert_eq!(
+        begin_1, begin_2,
+        "snapshot begin read more for a bigger table"
+    );
+    assert!(begin_1 <= 2, "snapshot begin read {begin_1} pages");
+    // One more index level at most.
+    assert!(
+        probe_2 <= probe_1 + 1 && probe_1 <= 6,
+        "{probe_1} then {probe_2}"
+    );
+}

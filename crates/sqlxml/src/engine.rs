@@ -2,8 +2,11 @@
 //!
 //! Planning mirrors what the paper relies on from DB2 / ATLaS:
 //!
-//! 1. WHERE conjuncts referencing one table are pushed below the join;
-//!    bounded indexed columns become access-path candidates that
+//! 1. WHERE conjuncts referencing one table are pushed below the join,
+//!    after constant equalities have been carried across the equality
+//!    join conditions (`t1.id = c and t1.id = t2.id` also gives
+//!    `t2.id = c`); the bounded leading columns of each index and of the
+//!    clustered key become access-path candidates that
 //!    [`relstore::planner`] costs against a sequential scan using the
 //!    per-segment statistics catalog (the paper's `segno = sn` segment
 //!    restriction, §6.3, rides in as a candidate bound; set
@@ -22,12 +25,11 @@ use relstore::expr::{BinOp, Expr, FnRegistry};
 use relstore::planner;
 use relstore::value::{DataType, Field, Value};
 use relstore::{Database, Table};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// A half-open composite-key interval as the index/cluster scans take it.
-type KeyRange = (Bound<Vec<Value>>, Bound<Vec<Value>>);
 use temporal::Date;
 use xmldom::{Element, Node};
 
@@ -338,6 +340,7 @@ fn run_from_where(
             }
         }
     }
+    propagate_constants(scope, &join_conds, &mut table_preds)?;
 
     // Per-table access paths (streaming executors).
     let mut sources: HashMap<String, Executor> = HashMap::new();
@@ -441,6 +444,91 @@ fn run_from_where(
     Ok(result)
 }
 
+/// A comparison between a column and a literal, normalized to
+/// `column <op> literal` with the literal typed for the column.
+fn col_op_lit(e: &SqlExpr, scope: &Scope) -> Option<(SqlExpr, BinOp, Value)> {
+    let SqlExpr::Bin(op, l, r) = e else {
+        return None;
+    };
+    if !matches!(
+        op,
+        BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+    ) {
+        return None;
+    }
+    match coerce_dates(op, l, r, scope) {
+        (col @ SqlExpr::Col { .. }, SqlExpr::Lit(v)) => Some((col, *op, v)),
+        (SqlExpr::Lit(v), col @ SqlExpr::Col { .. }) => Some((col, flip(*op), v)),
+        _ => None,
+    }
+}
+
+/// Equality closure over the WHERE conjuncts: a column pinned to a
+/// constant pins every column the join conditions equate it with, however
+/// many joins away. Algorithm 1 puts the key on the key table only
+/// (`t1.id = c and t1.id = t2.id`); the derived `t2.id = c` is what lets
+/// the attribute table be probed instead of read. Derived predicates are
+/// *added* to their table's pushed-down list — nothing is removed, so the
+/// rows that pass are exactly the rows that passed before. Columns of
+/// different declared types are not equated (comparison across types is
+/// not transitive).
+fn propagate_constants(
+    scope: &Scope,
+    join_conds: &[(String, String, SqlExpr)],
+    table_preds: &mut HashMap<String, Vec<SqlExpr>>,
+) -> Result<()> {
+    let mut equated: Vec<(usize, usize)> = Vec::new();
+    for (_, _, cond) in join_conds {
+        if let SqlExpr::Bin(BinOp::Eq, l, r) = cond {
+            let (li, ri) = (col_index(l, scope)?, col_index(r, scope)?);
+            if scope.dtype(li) == scope.dtype(ri) {
+                equated.push((li, ri));
+            }
+        }
+    }
+    if equated.is_empty() {
+        return Ok(());
+    }
+    // Worklist: every pinned column, given or derived, is followed once.
+    let mut pinned: Vec<(usize, Value)> = table_preds
+        .values()
+        .flatten()
+        .filter_map(|p| match col_op_lit(p, scope)? {
+            (col, BinOp::Eq, v) => Some((col_index(&col, scope).ok()?, v)),
+            _ => None,
+        })
+        .collect();
+    let mut next = 0;
+    while let Some((col, v)) = pinned.get(next).cloned() {
+        next += 1;
+        for &(a, b) in &equated {
+            let other = match col {
+                c if c == a => b,
+                c if c == b => a,
+                _ => continue,
+            };
+            let known = |(c, w): &(usize, Value)| *c == other && w.total_cmp(&v) == Ordering::Equal;
+            if pinned.iter().any(known) {
+                continue;
+            }
+            let (alias, field) = &scope.fields[other];
+            table_preds
+                .entry(alias.clone())
+                .or_default()
+                .push(SqlExpr::Bin(
+                    BinOp::Eq,
+                    Box::new(SqlExpr::Col {
+                        qualifier: Some(alias.clone()),
+                        name: field.name.clone(),
+                    }),
+                    Box::new(SqlExpr::Lit(v.clone())),
+                ));
+            pinned.push((other, v.clone()));
+        }
+    }
+    Ok(())
+}
+
 fn is_col_eq_col(e: &SqlExpr) -> bool {
     matches!(
         e,
@@ -480,12 +568,13 @@ fn filter_rows(
 
 /// Scan one table with pushed-down predicates.
 ///
-/// Every bounded indexed (or cluster-leading) column becomes a
-/// [`planner::ScanCandidate`]; [`planner::choose_path`] costs them against
-/// a sequential scan using the table's per-segment statistics and records
-/// the decision in the EXPLAIN plan log. Returns a streaming executor:
-/// base scans pull pages on demand, so a downstream LIMIT stops the scan
-/// early.
+/// The bounds the predicates put on key columns become
+/// [`planner::ScanCandidate`]s — one per bounded leading column, then one
+/// per index (and the clustered key) that has more than its leading
+/// column bound; [`planner::choose_path`] costs them against a sequential
+/// scan using the table's per-segment statistics and records the decision
+/// in the EXPLAIN plan log. Returns a streaming executor: base scans pull
+/// pages on demand, so a downstream LIMIT stops the scan early.
 fn scan_table(
     db: &Database,
     table: &Table,
@@ -495,80 +584,88 @@ fn scan_table(
     fns: &Arc<FnRegistry>,
 ) -> Result<Executor> {
     let (offset, _arity) = scope.tables[alias];
-    // Collect bounds per indexable column, in first-appearance order (the
+    let index_defs = table.index_defs();
+    let cluster_cols = match table.kind() {
+        relstore::StorageKind::Clustered => table.cluster_columns(),
+        relstore::StorageKind::Heap => Vec::new(),
+    };
+    let is_key_column = |col: &String| {
+        cluster_cols.contains(col) || index_defs.iter().any(|d| d.columns.contains(col))
+    };
+    // Merge the bounds on each key column, in first-appearance order (the
     // old fixed rule's tie-break order, which `ARCHIS_FORCE_PATH=rule`
     // reproduces).
-    let mut bounded: Vec<(String, Vec<(BinOp, Value)>)> = Vec::new();
+    let mut bounded: Vec<planner::ColumnBound> = Vec::new();
     for p in preds {
-        if let SqlExpr::Bin(op, l, r) = p {
-            if !matches!(
-                op,
-                BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) {
-                continue;
+        let Some((SqlExpr::Col { name: col, .. }, op, v)) = col_op_lit(p, scope) else {
+            continue;
+        };
+        if !is_key_column(&col) {
+            continue;
+        }
+        let at = bounded
+            .iter()
+            .position(|b| b.column == col)
+            .unwrap_or_else(|| {
+                bounded.push(planner::ColumnBound {
+                    column: col,
+                    eq: false,
+                    lo: Bound::Unbounded,
+                    hi: Bound::Unbounded,
+                });
+                bounded.len() - 1
+            });
+        let b = &mut bounded[at];
+        match op {
+            BinOp::Eq => {
+                b.eq = true;
+                b.lo = Bound::Included(v.clone());
+                b.hi = Bound::Included(v);
             }
-            // Normalize literal-side.
-            let (l2, r2) = coerce_dates(op, l, r, scope);
-            let (col, op, lit) = match (&l2, &r2) {
-                (SqlExpr::Col { name, .. }, SqlExpr::Lit(v)) => (name.clone(), *op, v.clone()),
-                (SqlExpr::Lit(v), SqlExpr::Col { name, .. }) => {
-                    (name.clone(), flip(*op), v.clone())
-                }
-                _ => continue,
-            };
-            if table.index_on(&col).is_none() {
-                continue;
-            }
-            match bounded.iter_mut().find(|(c, _)| *c == col) {
-                Some((_, bounds)) => bounds.push((op, lit)),
-                None => bounded.push((col, vec![(op, lit)])),
-            }
+            BinOp::Ge => tighten(&mut b.lo, Bound::Included(v), Ordering::Greater),
+            BinOp::Gt => tighten(&mut b.lo, Bound::Excluded(v), Ordering::Greater),
+            BinOp::Le => tighten(&mut b.hi, Bound::Included(v), Ordering::Less),
+            BinOp::Lt => tighten(&mut b.hi, Bound::Excluded(v), Ordering::Less),
+            _ => {}
         }
     }
-    // Turn each bounded column into a planner candidate with merged bounds.
-    let cluster_lead = if table.kind() == relstore::StorageKind::Clustered {
-        table.cluster_columns().first().cloned()
-    } else {
-        None
-    };
+    // Single-column candidates first, one per bounded column that leads
+    // an index. On a clustered table whose leading cluster column is the
+    // bounded column, range-scanning the primary B+tree beats per-row
+    // point fetches through a secondary index (this is why the paper's
+    // segment restriction pays off on ATLaS/BerkeleyDB).
     let mut candidates: Vec<planner::ScanCandidate> = Vec::new();
-    let mut ranges: Vec<KeyRange> = Vec::new();
-    for (col, bounds) in bounded {
-        let mut lo: Bound<Vec<Value>> = Bound::Unbounded;
-        let mut hi: Bound<Vec<Value>> = Bound::Unbounded;
-        let mut eq = false;
-        for (op, v) in bounds {
-            match op {
-                BinOp::Eq => {
-                    eq = true;
-                    lo = Bound::Included(vec![v.clone()]);
-                    hi = Bound::Included(vec![v]);
-                }
-                BinOp::Ge => lo = tighten_lo(lo, Bound::Included(vec![v])),
-                BinOp::Gt => lo = tighten_lo(lo, Bound::Excluded(vec![v])),
-                BinOp::Le => hi = tighten_hi(hi, Bound::Included(vec![v])),
-                BinOp::Lt => hi = tighten_hi(hi, Bound::Excluded(vec![v])),
-                _ => {}
-            }
-        }
-        // On a clustered table whose leading cluster column is the bounded
-        // column, range-scanning the primary B+tree beats per-row point
-        // fetches through a secondary index (this is why the paper's
-        // segment restriction pays off on ATLaS/BerkeleyDB).
-        let kind = if cluster_lead.as_deref() == Some(col.as_str()) {
+    for b in &bounded {
+        let leads = |d: &&relstore::IndexDef| d.columns.first() == Some(&b.column);
+        let Some(index) = index_defs.iter().find(leads).map(|d| d.name.clone()) else {
+            continue;
+        };
+        let kind = if cluster_cols.first() == Some(&b.column) {
             planner::PathKind::Cluster
         } else {
             planner::PathKind::Index
         };
         candidates.push(planner::ScanCandidate {
             kind,
-            index: table.index_on(&col),
-            column: col,
-            eq,
-            lo: single_bound(&lo),
-            hi: single_bound(&hi),
+            index: Some(index),
+            bounds: vec![b.clone()],
         });
-        ranges.push((lo, hi));
+    }
+    // Then every key the predicates bind deeper than its leading column.
+    let keys = std::iter::once((planner::PathKind::Cluster, None, &cluster_cols)).chain(
+        index_defs
+            .iter()
+            .map(|d| (planner::PathKind::Index, Some(&d.name), &d.columns)),
+    );
+    for (kind, index, columns) in keys {
+        let bounds = planner::ScanCandidate::usable_bounds(columns, &bounded);
+        if bounds.len() > 1 {
+            candidates.push(planner::ScanCandidate {
+                kind,
+                index: index.cloned(),
+                bounds,
+            });
+        }
     }
 
     let profile = planner::TableProfile::of(db, table);
@@ -582,27 +679,21 @@ fn scan_table(
             Bound::Unbounded,
         )?,
         Some(i) => {
-            let (lo, hi) = &ranges[i];
             let cand = &candidates[i];
-            if cand.kind == planner::PathKind::Cluster {
-                match parallel_cluster_scan(table, lo, hi)? {
-                    Some(rows) => Box::new(SeqScan::from_rows(rows)),
-                    None => relstore::exec::build_scan(
-                        table,
-                        planner::PathKind::Cluster,
-                        None,
-                        as_slice(lo),
-                        as_slice(hi),
-                    )?,
-                }
-            } else {
-                relstore::exec::build_scan(
+            let (lo, hi) = cand.key_range();
+            let parallel = match cand.kind {
+                planner::PathKind::Cluster => parallel_cluster_scan(table, &lo, &hi)?,
+                _ => None,
+            };
+            match parallel {
+                Some(rows) => Box::new(SeqScan::from_rows(rows)),
+                None => relstore::exec::build_scan(
                     table,
-                    planner::PathKind::Index,
+                    cand.kind,
                     cand.index.as_deref(),
-                    as_slice(lo),
-                    as_slice(hi),
-                )?
+                    as_slice(&lo),
+                    as_slice(&hi),
+                )?,
             }
         }
     };
@@ -618,19 +709,6 @@ fn scan_table(
         .collect::<Result<Vec<_>>>()?;
     let pred = Expr::and_all(compiled);
     Ok(Box::new(Filter::new(base, pred, fns.clone())))
-}
-
-/// First element of a composite bound (candidates bound one column).
-fn single_bound(b: &Bound<Vec<Value>>) -> Bound<Value> {
-    match b {
-        Bound::Unbounded => Bound::Unbounded,
-        Bound::Included(v) => v
-            .first()
-            .map_or(Bound::Unbounded, |x| Bound::Included(x.clone())),
-        Bound::Excluded(v) => v
-            .first()
-            .map_or(Bound::Unbounded, |x| Bound::Excluded(x.clone())),
-    }
 }
 
 /// Fan a multi-segment cluster-range scan across threads.
@@ -703,43 +781,22 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-fn tighten_lo(a: Bound<Vec<Value>>, b: Bound<Vec<Value>>) -> Bound<Vec<Value>> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
+/// Replace `bound` by `new` when `new` is the tighter of the two: its
+/// value lies on the `tighter` side (`Greater` for lower bounds, `Less`
+/// for upper ones), or the values tie and `new` excludes the value.
+fn tighten(bound: &mut Bound<Value>, new: Bound<Value>, tighter: Ordering) {
+    let replace = match (&*bound, &new) {
+        (Bound::Unbounded, _) => true,
+        (_, Bound::Unbounded) => false,
         (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            match x[0].total_cmp(&y[0]) {
-                std::cmp::Ordering::Less => b,
-                std::cmp::Ordering::Greater => a,
-                std::cmp::Ordering::Equal => {
-                    if matches!(a, Bound::Excluded(_)) {
-                        a
-                    } else {
-                        b
-                    }
-                }
+            match y.total_cmp(x) {
+                Ordering::Equal => matches!(new, Bound::Excluded(_)),
+                side => side == tighter,
             }
         }
-    }
-}
-
-fn tighten_hi(a: Bound<Vec<Value>>, b: Bound<Vec<Value>>) -> Bound<Vec<Value>> {
-    match (&a, &b) {
-        (Bound::Unbounded, _) => b,
-        (_, Bound::Unbounded) => a,
-        (Bound::Included(x) | Bound::Excluded(x), Bound::Included(y) | Bound::Excluded(y)) => {
-            match x[0].total_cmp(&y[0]) {
-                std::cmp::Ordering::Greater => b,
-                std::cmp::Ordering::Less => a,
-                std::cmp::Ordering::Equal => {
-                    if matches!(a, Bound::Excluded(_)) {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            }
-        }
+    };
+    if replace {
+        *bound = new;
     }
 }
 

@@ -500,3 +500,200 @@ fn snapshot_on_segment_boundary_dates_is_exact() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Point queries are index-bounded: what a question about one employee
+// reads does not depend on how much history the store holds.
+// ---------------------------------------------------------------------------
+
+/// A WAL-backed store (snapshots need one) holding `employees` × 17 years,
+/// ingested in batches with the usefulness check after each, like a
+/// production load.
+fn durable_store(employees: usize) -> (ArchIS, Vec<Op>) {
+    use relstore::pager::MemPager;
+    use relstore::wal::{MemLog, WalConfig, WalPager};
+    let pager = WalPager::open(
+        std::sync::Arc::new(MemPager::new()),
+        std::sync::Arc::new(MemLog::new()),
+        WalConfig::with_group_commit(8),
+    )
+    .unwrap();
+    let pool = relstore::BufferPool::new(std::sync::Arc::new(pager), 512);
+    let db = relstore::Database::open_pool(std::sync::Arc::new(pool)).unwrap();
+    let mut a = ArchIS::open_with_database(db, ArchConfig::default().with_now(now())).unwrap();
+    a.create_relation(RelationSpec::employee()).unwrap();
+    let ops = dataset::generate(&DatasetConfig {
+        employees,
+        years: 17,
+        seed: 7,
+        ..Default::default()
+    });
+    for batch in ops.chunks(64) {
+        let changes: Vec<Change> = batch.iter().map(to_change).collect();
+        a.apply_all(&changes).unwrap();
+        a.maybe_archive("employee", batch[batch.len() - 1].at())
+            .unwrap();
+    }
+    a.checkpoint().unwrap();
+    (a, ops)
+}
+
+/// The larger of the two stores, built once for the tests below.
+fn big_store() -> &'static (ArchIS, Vec<Op>) {
+    static STORE: std::sync::OnceLock<(ArchIS, Vec<Op>)> = std::sync::OnceLock::new();
+    STORE.get_or_init(|| durable_store(300))
+}
+
+/// Employees hired in the first year who never leave, and a date late in
+/// the history (so Q1 is answered from an archived segment or the live
+/// one, whichever covers it).
+fn probes(ops: &[Op]) -> (Vec<i64>, Date) {
+    let left: std::collections::HashSet<i64> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Leave { id, .. } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let first_year = Date::from_ymd(1986, 1, 1).unwrap();
+    let ids: Vec<i64> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Hire { id, at, .. } if *at < first_year && !left.contains(id) => Some(*id),
+            _ => None,
+        })
+        .step_by(3)
+        .take(8)
+        .collect();
+    assert!(ids.len() >= 2, "workload keeps some first-year hires");
+    (ids, Date::from_ymd(1998, 3, 14).unwrap())
+}
+
+/// Logical page reads of one query on a fresh snapshot: the snapshot's
+/// begin, and the query's execution (planning included).
+fn cold_reads(a: &ArchIS, xq: &str) -> (u64, u64, Vec<relstore::PlanEntry>) {
+    let snap = a.begin_snapshot().unwrap();
+    let begin = snap.database().pool().stats().logical_reads;
+    relstore::planner::take_plan_log();
+    let out = snap.query(xq).unwrap();
+    assert!(!out.rows.is_empty());
+    let total = snap.database().pool().stats().logical_reads;
+    (begin, total - begin, relstore::planner::take_plan_log())
+}
+
+#[test]
+fn point_query_reads_do_not_grow_with_the_store() {
+    let (small, small_ops) = durable_store(150);
+    let (big, big_ops) = big_store();
+    let salary_pages = |a: &ArchIS| {
+        let t = a.database().table("employee_salary").unwrap();
+        t.base_page_count().unwrap()
+    };
+    assert!(salary_pages(big) > salary_pages(&small) * 3 / 2);
+    let mut begins = Vec::new();
+    for (a, ops) in [(&small, &small_ops), (big, big_ops)] {
+        let (ids, date) = probes(ops);
+        for id in ids {
+            for xq in [queries::q1_xquery(id, date), queries::q3_xquery(id)] {
+                let (begin, exec, plan) = cold_reads(a, &xq);
+                begins.push(begin);
+                assert!(
+                    exec <= 80,
+                    "{exec} logical reads on a {}-page table for {xq}\n{}",
+                    salary_pages(a),
+                    relstore::planner::explain(&plan)
+                );
+            }
+        }
+    }
+    // Beginning a snapshot reads the catalog, whatever the tables hold.
+    assert!(
+        begins.iter().all(|b| *b == begins[0] && *b <= 4),
+        "{begins:?}"
+    );
+}
+
+/// ROADMAP 4(b): the plan log's page estimates against the reads the plan
+/// actually performs, and what planning itself reads.
+#[test]
+fn plan_estimates_track_actual_reads_for_point_queries() {
+    let (a, ops) = big_store();
+    let (ids, date) = probes(ops);
+    let (d1, d2) = (date, date + 365);
+    let suite = [
+        (true, queries::q1_xquery(ids[0], date)),
+        (false, queries::q2_xquery(date)),
+        (true, queries::q3_xquery(ids[1])),
+        (false, queries::q4_xquery()),
+        (false, queries::q5_xquery(45_000, d1, d2)),
+        (false, queries::q6_xquery(d1, d2)),
+    ];
+    for (point, xq) in &suite {
+        let (_, actual, plan) = cold_reads(a, xq);
+        assert!(!plan.is_empty());
+        let est: f64 = plan.iter().map(|e| e.est_pages).sum();
+        if *point {
+            let ratio = est / actual as f64;
+            assert!(
+                (0.25..=4.0).contains(&ratio),
+                "estimated {est:.0} pages, read {actual} for {xq}\n{}",
+                relstore::planner::explain(&plan)
+            );
+        }
+    }
+    // Profiling a table for the cost model reads the statistics table and
+    // nothing else: no heap chain is walked to learn its length.
+    let snap = a.begin_snapshot().unwrap();
+    let db = snap.database();
+    let before = db.pool().stats().logical_reads;
+    for name in ["employee_salary", "employee_id", "employee_title"] {
+        let t = db.table(name).unwrap();
+        let profile = relstore::TableProfile::of(db, &t);
+        assert_eq!(profile.base_pages as u64, t.base_page_count().unwrap());
+    }
+    let planning = db.pool().stats().logical_reads - before;
+    let chain = db
+        .table("employee_salary")
+        .unwrap()
+        .base_page_count()
+        .unwrap();
+    assert!(
+        chain > 100 && planning <= 24,
+        "{planning} reads to profile three tables"
+    );
+}
+
+/// The catalog and the two meta tables are rewritten at every commit;
+/// they must stay the size the schema needs.
+#[test]
+fn a_thousand_commits_leave_catalog_and_meta_tables_the_same_size() {
+    let (a, ops) = durable_store(20);
+    let sizes = |a: &ArchIS| {
+        let db = a.database();
+        let pages = |t: &str| db.table(t).unwrap().base_page_count().unwrap();
+        (
+            db.catalog_pages().unwrap(),
+            pages("archis_relations"),
+            pages("archis_state"),
+        )
+    };
+    let before = sizes(&a);
+    assert!(
+        before.0 <= 2 && before.1 == 1 && before.2 == 1,
+        "{before:?}"
+    );
+    let (ids, _) = probes(&ops);
+    let mut at = now();
+    for i in 0..1_000i64 {
+        at = at + 1;
+        a.update(
+            "employee",
+            ids[i as usize % 2],
+            vec![("salary".into(), Value::Int(50_000 + i))],
+            at,
+        )
+        .unwrap();
+        a.maybe_archive("employee", at).unwrap();
+    }
+    assert_eq!(sizes(&a), before);
+}

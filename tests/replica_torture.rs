@@ -453,7 +453,11 @@ fn seed_sweep_200_kill_and_channel_faults() {
 #[cfg(feature = "failpoints")]
 fn kill_at_every_write_and_sync() {
     let mut rig = mem_primary();
-    run_workload(&mut rig, 1234, 40, 10);
+    // Sized so the sync sweep has more than ten kill positions: kill n
+    // lands n fsyncs into an attempt and progress survives each kill, so
+    // positions grow with the square root of the fsyncs a full replay
+    // needs — and a commit ships only the pages it changed.
+    run_workload(&mut rig, 1234, 60, 10);
     let kills_w = kill_sweep(&rig, 1, false);
     assert!(kills_w > 50, "write sweep fired only {kills_w} kills");
     let kills_s = kill_sweep(&rig, 2, true);
