@@ -4,8 +4,7 @@
 //! reproduce [-e EXPERIMENT]... [--scale N] [--runs N]
 //!
 //! EXPERIMENT: fig7 | fig8 | translate | fig9 | snapcur | fig10 |
-//!             fig11 | fig13 | fig14 | updates | scan | commit |
-//!             ingest | concurrent | scrub | plan | replica | all
+//!             fig11 | fig13 | fig14 | updates | scrub | all
 //!             (default: all)
 //! --scale N   initial employee population (default 100; fig10 also
 //!             loads 7N)
@@ -15,11 +14,32 @@
 //! After each experiment the harness prints the buffer-pool I/O it
 //! accumulated — logical reads, physical reads, and the hit rate — so a
 //! change in caching or scan behaviour shows up as a delta even when wall
-//! times are noisy.
+//! times are noisy. Performance beyond the paper's figures is measured by
+//! `archis-bench` (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
 use bench::experiments as exp;
+
+/// One experiment: its `-e` name and `run(scale, runs)`.
+type Experiment = (&'static str, fn(usize, usize));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig7", |scale, _| drop(exp::fig7(scale))),
+    ("fig8", |scale, runs| drop(exp::fig8(scale, runs))),
+    ("translate", |scale, _| drop(exp::translate_cost(scale))),
+    ("fig9", |scale, runs| drop(exp::fig9(scale, runs))),
+    ("snapcur", |scale, runs| {
+        drop(exp::snapshot_vs_current(scale, runs))
+    }),
+    ("fig10", |scale, runs| drop(exp::fig10(scale, runs))),
+    ("fig11", |scale, _| drop(exp::fig11(scale))),
+    ("fig13", |scale, _| drop(exp::fig13(scale))),
+    ("fig14", |scale, runs| drop(exp::fig14(scale, runs))),
+    ("updates", |scale, _| drop(exp::updates(scale))),
+    ("scrub", |scale, runs| drop(exp::scrub_bench(scale, runs))),
+];
 
 /// Run one experiment and report the pool I/O it accumulated.
 fn section(name: &str, f: impl FnOnce()) {
@@ -40,131 +60,53 @@ fn section(name: &str, f: impl FnOnce()) {
     }
 }
 
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    format!(
+        "reproduce [-e {}|all]... [--scale N] [--runs N]",
+        names.join("|")
+    )
+}
+
+/// Refuse the command line: say why, list the experiments, exit 2.
+fn bad_usage(why: &str) -> ! {
+    eprintln!("{why}\n{}", usage());
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiments: Vec<String> = Vec::new();
     let mut scale = 100usize;
     let mut runs = 3usize;
-    let mut it = args.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut value = || {
+            it.next()
+                .unwrap_or_else(|| bad_usage(&format!("{a} needs a value")))
+        };
         match a.as_str() {
             "-e" | "--experiment" => {
-                if let Some(e) = it.next() {
-                    experiments.push(e.clone());
+                let e = value();
+                if e != "all" && !EXPERIMENTS.iter().any(|(n, _)| *n == e) {
+                    bad_usage(&format!("unknown experiment {e:?}"));
                 }
+                experiments.push(e);
             }
-            "--scale" => {
-                if let Some(v) = it.next() {
-                    scale = v.parse().expect("--scale takes a number");
-                }
-            }
-            "--runs" => {
-                if let Some(v) = it.next() {
-                    runs = v.parse().expect("--runs takes a number");
-                }
-            }
+            "--scale" => scale = value().parse().expect("--scale takes a number"),
+            "--runs" => runs = value().parse().expect("--runs takes a number"),
             "-h" | "--help" => {
-                println!(
-                    "reproduce [-e fig7|fig8|translate|fig9|snapcur|fig10|fig11|fig13|fig14|updates|scan|commit|ingest|concurrent|scrub|plan|replica|all] [--scale N] [--runs N]"
-                );
+                println!("{}", usage());
                 return;
             }
-            other => {
-                eprintln!("unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            other => bad_usage(&format!("unknown argument {other:?}")),
         }
     }
-    if experiments.is_empty() {
-        experiments.push("all".to_string());
-    }
-    let all = experiments.iter().any(|e| e == "all");
-    let want = |name: &str| all || experiments.iter().any(|e| e == name);
+    let all = experiments.is_empty() || experiments.iter().any(|e| e == "all");
 
     println!("ArchIS reproduction harness — scale {scale} employees, {runs} cold run(s) per query");
-    if want("fig7") {
-        section("fig7", || {
-            exp::fig7(scale);
-        });
-    }
-    if want("fig8") {
-        section("fig8", || {
-            exp::fig8(scale, runs);
-        });
-    }
-    if want("translate") {
-        section("translate", || {
-            exp::translate_cost(scale);
-        });
-    }
-    if want("fig9") {
-        section("fig9", || {
-            exp::fig9(scale, runs);
-        });
-    }
-    if want("snapcur") {
-        section("snapcur", || {
-            exp::snapshot_vs_current(scale, runs);
-        });
-    }
-    if want("fig10") {
-        section("fig10", || {
-            exp::fig10(scale, runs);
-        });
-    }
-    if want("fig11") {
-        section("fig11", || {
-            exp::fig11(scale);
-        });
-    }
-    if want("fig13") {
-        section("fig13", || {
-            exp::fig13(scale);
-        });
-    }
-    if want("fig14") {
-        section("fig14", || {
-            exp::fig14(scale, runs);
-        });
-    }
-    if want("updates") {
-        section("updates", || {
-            exp::updates(scale);
-        });
-    }
-    if want("scan") {
-        section("scan", || {
-            exp::scan_streaming(100_000, runs);
-        });
-    }
-    if want("commit") {
-        section("commit", || {
-            exp::commit_throughput(512, runs);
-        });
-    }
-    if want("ingest") {
-        section("ingest", || {
-            exp::ingest(2048, runs);
-        });
-    }
-    if want("concurrent") {
-        section("concurrent", || {
-            exp::concurrent(2048, runs);
-        });
-    }
-    if want("scrub") {
-        section("scrub", || {
-            exp::scrub_bench(scale, runs);
-        });
-    }
-    if want("plan") {
-        section("plan", || {
-            exp::plan_bench(scale, runs);
-        });
-    }
-    if want("replica") {
-        section("replica", || {
-            exp::replication(2048, runs);
-        });
+    for (name, run) in EXPERIMENTS {
+        if all || experiments.iter().any(|e| e == name) {
+            section(name, || run(scale, runs));
+        }
     }
 }

@@ -23,9 +23,9 @@
 //! Segment scans here go through [`relstore::Table::index_lookup`] /
 //! index range streams, which derive page runs from the B+tree leaf chain
 //! and hand them to the buffer pool's prefetcher when it is enabled
-//! (`ARCHIS_PREFETCH`): copying a whole live segment during archival, or
-//! walking an archived segment's rows, overlaps the next leaf/heap pages'
-//! I/O with processing the current ones.
+//! ([`relstore::BufferPool::enable_prefetch`]): copying a whole live
+//! segment during archival, or walking an archived segment's rows,
+//! overlaps the next leaf/heap pages' I/O with processing the current ones.
 
 use crate::htable::{self, LIVE_SEGNO};
 use crate::spec::RelationSpec;

@@ -582,10 +582,10 @@ impl CompressedStore {
         Ok(Arc::new(rows))
     }
 
-    /// Read many blocks, fanning decompression out across threads when
-    /// [`relstore::parallel`] scans are enabled (every independent block is
-    /// its own unit of work, paper §8.2). Results come back in `blocknos`
-    /// order, so callers behave identically with parallelism on or off.
+    /// Read many blocks, fanning decompression out across threads from
+    /// `MIN_PARALLEL` blocks up (every independent block is its own unit of
+    /// work, paper §8.2). Results come back in `blocknos` order, exactly
+    /// what [`Self::read_block`] per block returns.
     fn read_blocks(
         &self,
         db: &Database,
@@ -593,7 +593,7 @@ impl CompressedStore {
         blocknos: &[usize],
     ) -> Result<Vec<BlockRows>> {
         const MIN_PARALLEL: usize = 4;
-        if blocknos.len() < MIN_PARALLEL || !relstore::parallel::parallel_scans_enabled() {
+        if blocknos.len() < MIN_PARALLEL {
             return blocknos
                 .iter()
                 .map(|&no| self.read_block(db, ab, no))
@@ -762,6 +762,42 @@ mod tests {
             CompressedStore::covering_segment(&segs, d("1989-01-01")),
             None
         );
+    }
+
+    /// The thread fan-out is invisible: `read_blocks` returns, in order,
+    /// what the serial primitive `read_block` returns block by block.
+    #[test]
+    fn read_blocks_fan_out_equals_read_block_per_block() {
+        let d = |s: &str| Date::parse(s).unwrap();
+        let config = crate::spec::ArchConfig {
+            block_size: 300, // many small blocks from little data
+            ..Default::default()
+        };
+        let mut a = crate::ArchIS::new(config);
+        a.create_relation(crate::spec::RelationSpec::employee())
+            .unwrap();
+        for id in 1..=240i64 {
+            let values = vec![("salary".to_string(), Value::Int(40_000 + id))];
+            a.insert("employee", id, values, d("1990-01-01")).unwrap();
+            let raise = vec![("salary".to_string(), Value::Int(50_000 + id))];
+            a.update("employee", id, raise, d("1991-01-01")).unwrap();
+        }
+        a.force_archive("employee", d("1992-12-31")).unwrap();
+        a.compress_archived("employee").unwrap();
+        let store = a.compressed_store("employee").unwrap();
+        let ab = store.attr("salary").unwrap();
+        let blocknos: Vec<usize> = (0..ab.meta.len()).collect();
+        assert!(blocknos.len() >= 8, "need a real fan-out: {blocknos:?}");
+
+        store.clear_cache();
+        let fanned = store.read_blocks(a.database(), ab, &blocknos).unwrap();
+        store.clear_cache();
+        let serial: Vec<BlockRows> = blocknos
+            .iter()
+            .map(|&no| store.read_block(a.database(), ab, no).unwrap())
+            .collect();
+        assert_eq!(fanned, serial);
+        assert!(serial.iter().all(|rows| !rows.is_empty()));
     }
 
     #[test]

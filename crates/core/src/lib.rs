@@ -216,14 +216,10 @@ impl ArchIS {
     /// stored in meta tables and restored on reopen; [`ArchIS::checkpoint`]
     /// folds the log into the page file and truncates it.
     pub fn open_file(path: impl AsRef<std::path::Path>, config: ArchConfig) -> Result<Self> {
-        let batch = std::env::var("ARCHIS_GROUP_COMMIT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(config.group_commit);
         let db = Database::open_wal(
             path,
             config.buffer_pages,
-            relstore::WalConfig::with_group_commit(batch),
+            relstore::WalConfig::with_group_commit(config.group_commit),
         )?;
         Self::open_with_database(db, config)
     }

@@ -17,12 +17,11 @@
 //! at archival, absorbed on row moves, rebuilt by vacuum), so the pruning
 //! is loss-free.
 //!
-//! `ARCHIS_FORCE_PATH` is honored for A/B benchmarking:
-//! `rule` reproduces the pre-statistics behavior end to end (no pruning,
-//! hand-wired probe-when-keyed access); `seq` forces whole-segment scans;
-//! `index` forces key probes where a key exists; `cluster` reads the
-//! segment's block range in sid order, which for the compressed store *is*
-//! the clustered layout, i.e. a segment scan. Every decision is recorded
+//! `relstore::planner::set_forced_path` (the `planner_equiv` test hook) is
+//! honored: `Seq` forces whole-segment scans; `Index` forces key probes
+//! where a key exists; `Cluster` reads the segment's block range in sid
+//! order, which for the compressed store *is* the clustered layout, i.e. a
+//! segment scan. Pruning is never switched off. Every decision is recorded
 //! in the thread-local plan log ([`relstore::planner::take_plan_log`]) for
 //! EXPLAIN-style dumps.
 
@@ -53,21 +52,17 @@ pub struct SegmentPlan {
     pub access: SegAccess,
 }
 
-/// Resolve the access method: a key probe when a key is known (the
-/// hand-wired rule and the cost model agree — a probe never touches more
-/// blocks than a scan), a segment scan otherwise, overridden by
-/// `ARCHIS_FORCE_PATH`.
-fn access_for(key: Option<i64>, forced: Option<ForcedPath>) -> (SegAccess, String) {
-    match (forced, key) {
-        (Some(ForcedPath::Seq | ForcedPath::Cluster), _) => {
-            (SegAccess::Scan, format!("forced:{}", forced.unwrap()))
-        }
-        (Some(ForcedPath::Index), Some(_)) => (SegAccess::Probe, "forced:index".into()),
-        (Some(ForcedPath::Index), None) => (SegAccess::Scan, "forced:index".into()),
-        (Some(ForcedPath::Rule), Some(_)) => (SegAccess::Probe, "rule".into()),
-        (Some(ForcedPath::Rule), None) => (SegAccess::Scan, "rule".into()),
-        (None, Some(_)) => (SegAccess::Probe, "cost".into()),
-        (None, None) => (SegAccess::Scan, "cost".into()),
+/// Resolve the access method: a key probe when a key is known (a probe
+/// never touches more blocks than a scan), a segment scan otherwise,
+/// overridden by a forced path.
+fn access_for(key: Option<i64>) -> (SegAccess, &'static str) {
+    match (forced_path(), key) {
+        (Some(ForcedPath::Seq), _) => (SegAccess::Scan, "forced:seq"),
+        (Some(ForcedPath::Cluster), _) => (SegAccess::Scan, "forced:cluster"),
+        (Some(ForcedPath::Index), Some(_)) => (SegAccess::Probe, "forced:index"),
+        (Some(ForcedPath::Index), None) => (SegAccess::Scan, "forced:index"),
+        (None, Some(_)) => (SegAccess::Probe, "cost"),
+        (None, None) => (SegAccess::Scan, "cost"),
     }
 }
 
@@ -136,7 +131,6 @@ pub fn plan_snapshot(
 ) -> Result<SegmentPlan> {
     let segs = archis.segments_of(relation, attr)?;
     let stats = archis.segment_stats(relation, attr)?;
-    let forced = forced_path();
     let covering = segs
         .iter()
         .filter(|s| s.segno != LIVE_SEGNO)
@@ -146,22 +140,20 @@ pub fn plan_snapshot(
         Some(segno) => (vec![segno], false),
         None => (Vec::new(), true),
     };
-    if forced != Some(ForcedPath::Rule) {
-        segnos.retain(|&segno| {
-            stats
-                .iter()
-                .find(|s| s.segno == segno)
-                .is_none_or(|s| s.overlap_fraction(date, date) > 0.0)
-        });
-    }
-    let (access, chosen_by) = access_for(key, forced);
+    segnos.retain(|&segno| {
+        stats
+            .iter()
+            .find(|s| s.segno == segno)
+            .is_none_or(|s| s.overlap_fraction(date, date) > 0.0)
+    });
+    let (access, chosen_by) = access_for(key);
     let plan = SegmentPlan {
         segnos,
         live,
         access,
     };
     let table = crate::htable::attr_table(archis.relation(relation)?, attr);
-    log_plan(&table, &plan, &stats, date, date, key, &chosen_by);
+    log_plan(&table, &plan, &stats, date, date, key, chosen_by);
     Ok(plan)
 }
 
@@ -178,7 +170,6 @@ pub fn plan_window(
 ) -> Result<SegmentPlan> {
     let segs = archis.segments_of(relation, attr)?;
     let stats = archis.segment_stats(relation, attr)?;
-    let forced = forced_path();
     let overlapping: Vec<i64> = segs
         .iter()
         .filter(|s| s.segno != LIVE_SEGNO && s.start <= d2 && s.end >= d1)
@@ -186,24 +177,22 @@ pub fn plan_window(
         .collect();
     let touched_archive = !overlapping.is_empty();
     let mut segnos = overlapping;
-    if forced != Some(ForcedPath::Rule) {
-        segnos.retain(|&segno| {
-            stats
-                .iter()
-                .find(|s| s.segno == segno)
-                .is_none_or(|s| s.overlap_fraction(d1, d2) > 0.0)
-        });
-    }
+    segnos.retain(|&segno| {
+        stats
+            .iter()
+            .find(|s| s.segno == segno)
+            .is_none_or(|s| s.overlap_fraction(d1, d2) > 0.0)
+    });
     let live_start = segs.last().map(|s| s.start).unwrap_or(END_OF_TIME);
     let live = d2 >= live_start || !touched_archive;
-    let (access, chosen_by) = access_for(None, forced);
+    let (access, chosen_by) = access_for(None);
     let plan = SegmentPlan {
         segnos,
         live,
         access,
     };
     let table = crate::htable::attr_table(archis.relation(relation)?, attr);
-    log_plan(&table, &plan, &stats, d1, d2, None, &chosen_by);
+    log_plan(&table, &plan, &stats, d1, d2, None, chosen_by);
     Ok(plan)
 }
 
@@ -218,13 +207,12 @@ pub fn plan_history(
 ) -> Result<SegmentPlan> {
     let segs = archis.segments_of(relation, attr)?;
     let stats = archis.segment_stats(relation, attr)?;
-    let forced = forced_path();
     let segnos: Vec<i64> = segs
         .iter()
         .filter(|s| s.segno != LIVE_SEGNO)
         .map(|s| s.segno)
         .collect();
-    let (access, chosen_by) = access_for(key, forced);
+    let (access, chosen_by) = access_for(key);
     let plan = SegmentPlan {
         segnos,
         live: true,
@@ -238,7 +226,7 @@ pub fn plan_history(
         temporal::DAWN_OF_TIME,
         END_OF_TIME,
         key,
-        &chosen_by,
+        chosen_by,
     );
     Ok(plan)
 }
@@ -279,11 +267,10 @@ mod tests {
         let plan = plan_snapshot(&a, "employee", "salary", d("1995-06-01"), None).unwrap();
         assert!(plan.segnos.is_empty(), "stats prove the era is dead");
         assert!(!plan.live, "snapshot inside the archived interval");
-        // Rule mode reproduces the interval-only decision.
-        relstore::planner::set_forced_path(Some(ForcedPath::Rule));
-        let rule = plan_snapshot(&a, "employee", "salary", d("1995-06-01"), None).unwrap();
-        relstore::planner::set_forced_path(None);
-        assert_eq!(rule.segnos, vec![1], "rule mode scans the covering segment");
+        // The catalog interval alone would have kept the segment.
+        let segs = a.segments_of("employee", "salary").unwrap();
+        let covering = segs.iter().find(|s| s.segno == 1).unwrap();
+        assert!(covering.start <= d("1995-06-01") && d("1995-06-01") <= covering.end);
     }
 
     #[test]

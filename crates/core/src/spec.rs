@@ -117,8 +117,7 @@ pub struct ArchConfig {
     /// WAL group-commit batch size for durable ([`crate::ArchIS::open_file`])
     /// instances: commits per log fsync. 1 = fsync-per-commit durability;
     /// larger batches amortize the fsync across a window of archival
-    /// transactions. Ignored by in-memory instances. Overridable at open
-    /// time via the `ARCHIS_GROUP_COMMIT` environment variable.
+    /// transactions. Ignored by in-memory instances.
     pub group_commit: usize,
 }
 

@@ -39,7 +39,6 @@ use crate::archive::SegmentInfo;
 use crate::htable::{self, LIVE_SEGNO};
 use crate::spec::RelationSpec;
 use crate::{ArchError, ArchIS, Result};
-use relstore::planner;
 use temporal::{Date, END_OF_TIME};
 use xquery::ast::{Binding, CmpOp, DirectContent, Expr, Step};
 
@@ -934,33 +933,25 @@ impl<'a> Translator<'a> {
             if archived.is_empty() {
                 continue; // unsegmented table — nothing to restrict
             }
-            let covering: Vec<i64> = archived
-                .iter()
-                .filter(|s| s.start <= hi && s.end >= lo)
-                .map(|s| s.segno)
-                .collect();
             // Statistics-based pruning: a segment's *interval* only says
             // the window may overlap; the stats catalog records the actual
             // tstart/tend extremes of the rows stored there. Segments whose
             // stats prove no row can match (`tsmin > hi` or `temax < lo`)
             // are dropped before any I/O. The extremes are maintained
             // exactly (recomputed at archival, absorbed on row moves), so
-            // the rewrite is loss-free. `ARCHIS_FORCE_PATH=rule` bypasses
-            // it to reproduce the pre-stats behavior end to end.
-            let covering: Vec<i64> = if planner::forced_path() == Some(planner::ForcedPath::Rule) {
-                covering
-            } else {
-                let stats = self.archis.segment_stats(&relation, &attr)?;
-                covering
-                    .into_iter()
-                    .filter(|segno| {
-                        stats
-                            .iter()
-                            .find(|s| s.segno == *segno)
-                            .is_none_or(|s| s.overlap_fraction(lo, hi) > 0.0)
-                    })
-                    .collect()
-            };
+            // the rewrite is loss-free.
+            let stats = self.archis.segment_stats(&relation, &attr)?;
+            let covering: Vec<i64> = archived
+                .iter()
+                .filter(|s| s.start <= hi && s.end >= lo)
+                .map(|s| s.segno)
+                .filter(|segno| {
+                    stats
+                        .iter()
+                        .find(|s| s.segno == *segno)
+                        .is_none_or(|s| s.overlap_fraction(lo, hi) > 0.0)
+                })
+                .collect();
             let live_start = segs.last().map(|s| s.start).unwrap_or(END_OF_TIME);
             let needs_live = hi >= live_start;
             match (covering.as_slice(), needs_live) {
@@ -1264,14 +1255,11 @@ mod tests {
             a.execute_sql(&sql).unwrap().xml_fragments().is_empty(),
             "nothing was alive in the dead era"
         );
-        // Rule mode reproduces the pre-stats translation: interval-covered
-        // segment 1 is scanned.
-        planner::set_forced_path(Some(planner::ForcedPath::Rule));
-        let sql_rule = a.translate(q).unwrap();
-        planner::set_forced_path(None);
-        assert!(sql_rule.contains(".segno = 1"), "{sql_rule}");
+        // The interval-only translation would have scanned segment 1 and
+        // found the same nothing.
+        let unpruned = sql.replace(".segno = -1", ".segno = 1");
         assert!(
-            a.execute_sql(&sql_rule).unwrap().xml_fragments().is_empty(),
+            a.execute_sql(&unpruned).unwrap().xml_fragments().is_empty(),
             "same (empty) answer either way"
         );
     }

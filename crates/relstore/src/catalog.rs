@@ -88,16 +88,6 @@ impl Database {
         wal_path.push(".wal");
         let base = Arc::new(FilePager::open(path)?);
         let log = Arc::new(FileLog::open(wal_path)?);
-        // `ARCHIS_WAL_PIPELINE=1` turns on the overlapped log writer for
-        // stores opened through this convenience path; programmatic
-        // configs that already ask for it are left alone. (The other I/O
-        // toggles, `ARCHIS_PREFETCH`/`ARCHIS_WRITEBACK`, apply in
-        // `open_pool` so every durable open path honours them.)
-        let wal = if env_flag("ARCHIS_WAL_PIPELINE") {
-            wal.pipelined(true)
-        } else {
-            wal
-        };
         let pager = Arc::new(WalPager::open(base, log, wal)?);
         Self::open_pool(Arc::new(BufferPool::new(pager, pool_pages)))
     }
@@ -105,25 +95,10 @@ impl Database {
     /// Open (or create) a durable database over an arbitrary pool whose
     /// pager persists pages (file-backed, WAL-backed, fault-injected, ...).
     /// Fresh stores (zero pages) get a catalog heap anchored at page 0;
-    /// existing stores reload every table from it.
+    /// existing stores reload every table from it. The pool is taken as
+    /// configured: prefetch and writeback are on only if the caller called
+    /// [`BufferPool::enable_prefetch`] / [`BufferPool::enable_writeback`].
     pub fn open_pool(pool: Arc<BufferPool>) -> Result<Self> {
-        // Opt-in I/O pipeline toggles (see EXPERIMENTS.md): both default
-        // off so benchmark read/write counts stay deterministic.
-        if env_flag("ARCHIS_PREFETCH") {
-            pool.enable_prefetch();
-        }
-        if env_flag("ARCHIS_WRITEBACK") {
-            pool.enable_writeback();
-        }
-        Self::load_pool(pool)
-    }
-
-    /// Load the catalog and every table from an already-configured pool.
-    /// Shared by [`Database::open_pool`] (which first applies the env I/O
-    /// toggles) and [`Database::begin_snapshot`] (which must not: a
-    /// snapshot pool is read-only, so background writeback has nothing to
-    /// do there and would only error against the frozen pager).
-    fn load_pool(pool: Arc<BufferPool>) -> Result<Self> {
         let fresh = pool.pager().num_pages() == 0;
         if fresh {
             let catalog = HeapFile::create(pool.clone())?;
@@ -314,7 +289,7 @@ impl Database {
             ));
         }
         let pool = Arc::new(BufferPool::new(snap, SNAPSHOT_POOL_PAGES));
-        let db = Self::load_pool(pool)?;
+        let db = Self::open_pool(pool)?;
         Ok(Snapshot { db, commit_lsn })
     }
 
@@ -642,13 +617,6 @@ impl CatalogEntry {
             },
         })
     }
-}
-
-/// A truthy environment toggle: set to `1`, `true`, `on` or `yes`.
-fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| matches!(v.as_str(), "1" | "true" | "on" | "yes"))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

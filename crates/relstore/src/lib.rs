@@ -30,28 +30,6 @@
 #![deny(unused_must_use)]
 pub mod btree;
 pub mod buffer;
-
-/// Process-wide switch for multi-threaded segment scans.
-///
-/// Parallel fan-out must produce results identical to the sequential scan
-/// order, so callers (the SQL planner, the compressed-store queries) check
-/// this flag and fall back to single-threaded scans when it is off —
-/// useful for debugging and for apples-to-apples I/O measurements.
-pub mod parallel {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Enable or disable parallel segment scans (default: enabled).
-    pub fn set_parallel_scans(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether parallel segment scans are currently enabled.
-    pub fn parallel_scans_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-}
 pub mod catalog;
 pub mod exec;
 pub mod expr;

@@ -1,11 +1,10 @@
 //! Cost-based access-path selection.
 //!
-//! Until now the SQL/XML engine chose scans by a fixed rule (any indexable
-//! bound beats a sequential scan; equality beats range). That rule is
-//! selectivity-blind: it happily probes a secondary index for a bound that
-//! matches the whole table, and it cannot tell a narrow time slice from a
-//! full-history sweep. This module replaces the rule with a small
-//! cost model in the classic System-R shape:
+//! A fixed rule (any indexable bound beats a sequential scan; equality
+//! beats range) is selectivity-blind: it happily probes a secondary index
+//! for a bound that matches the whole table, and it cannot tell a narrow
+//! time slice from a full-history sweep. This module is the engine's one
+//! access-path chooser, a small cost model in the classic System-R shape:
 //!
 //! * **Statistics** — per-segment rows, live/dead split, `tstart`/`tend`
 //!   min-max, an equi-depth `tstart` histogram, distinct-key and
@@ -27,9 +26,9 @@
 //!
 //! The chooser is deliberately advisory: callers re-apply every predicate
 //! as a filter, so a wrong estimate can only cost time, never correctness.
-//! `ARCHIS_FORCE_PATH` (`seq` | `index` | `cluster` | `rule`) pins the
-//! decision for A/B debugging; `rule` reproduces the old fixed rule
-//! exactly, which is what the `plan` benchmark measures against.
+//! [`set_forced_path`] (`Seq` | `Index` | `Cluster`) pins the decision so
+//! `tests/planner_equiv.rs` can prove every path gives the same answer; it
+//! is a test hook, not configuration.
 
 use crate::catalog::Database;
 use crate::table::Table;
@@ -54,9 +53,9 @@ pub const HIST_BUCKETS: usize = 8;
 
 // --- cost constants -------------------------------------------------------
 //
-// Calibrated against the bench crate's cold-device model (25 µs per
-// physical page): what matters is the *ratio* between sequential and
-// random page costs, not the absolute scale.
+// Calibrated against a cold-device model of 25 µs per physical page: what
+// matters is the *ratio* between sequential and random page costs, not
+// the absolute scale.
 
 /// Cost of one sequentially-read base page.
 pub const SEQ_PAGE_COST: f64 = 1.0;
@@ -374,10 +373,11 @@ pub fn clear_stats(db: &Database, tbl: &str) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Forced access paths (`ARCHIS_FORCE_PATH`)
+// Forced access paths (test hook)
 // ---------------------------------------------------------------------------
 
-/// An access-path override for A/B debugging and benchmarking.
+/// An access-path override. Only `tests/planner_equiv.rs` sets one, to
+/// prove every path returns the cost-based plan's answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForcedPath {
     /// Always scan the base storage sequentially.
@@ -386,78 +386,25 @@ pub enum ForcedPath {
     Index,
     /// Always take the clustered-primary range when one is available.
     Cluster,
-    /// Reproduce the pre-planner fixed rule (first indexable bound wins,
-    /// equality beats range, clustered leading column beats the index).
-    Rule,
 }
 
-impl ForcedPath {
-    fn from_code(code: u8) -> Option<ForcedPath> {
-        match code {
-            2 => Some(ForcedPath::Seq),
-            3 => Some(ForcedPath::Index),
-            4 => Some(ForcedPath::Cluster),
-            5 => Some(ForcedPath::Rule),
-            _ => None,
-        }
-    }
-
-    fn code(path: Option<ForcedPath>) -> u8 {
-        match path {
-            None => 1,
-            Some(ForcedPath::Seq) => 2,
-            Some(ForcedPath::Index) => 3,
-            Some(ForcedPath::Cluster) => 4,
-            Some(ForcedPath::Rule) => 5,
-        }
-    }
-
-    /// Parse the `ARCHIS_FORCE_PATH` value.
-    pub fn parse(s: &str) -> Option<ForcedPath> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "seq" | "seqscan" => Some(ForcedPath::Seq),
-            "index" => Some(ForcedPath::Index),
-            "cluster" | "clustered" => Some(ForcedPath::Cluster),
-            "rule" => Some(ForcedPath::Rule),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ForcedPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ForcedPath::Seq => "seq",
-            ForcedPath::Index => "index",
-            ForcedPath::Cluster => "cluster",
-            ForcedPath::Rule => "rule",
-        })
-    }
-}
-
-// 0 = uninitialized (read the environment once), then ForcedPath::code.
+// 0 = cost-based, then 1 + the variant's position.
 static FORCE_PATH: AtomicU8 = AtomicU8::new(0);
 
-/// The active access-path override, if any. First call reads
-/// `ARCHIS_FORCE_PATH`; later calls (and [`set_forced_path`]) are
-/// process-wide and race-free, which matters for multi-threaded tests.
+/// The active access-path override, if any.
 pub fn forced_path() -> Option<ForcedPath> {
-    let code = FORCE_PATH.load(Ordering::Relaxed);
-    if code != 0 {
-        return ForcedPath::from_code(code);
+    match FORCE_PATH.load(Ordering::Relaxed) {
+        1 => Some(ForcedPath::Seq),
+        2 => Some(ForcedPath::Index),
+        3 => Some(ForcedPath::Cluster),
+        _ => None,
     }
-    let from_env = std::env::var("ARCHIS_FORCE_PATH")
-        .ok()
-        .and_then(|v| ForcedPath::parse(&v));
-    // Another thread may race the first read; both write the same value.
-    FORCE_PATH.store(ForcedPath::code(from_env), Ordering::Relaxed);
-    from_env
 }
 
 /// Override (or with `None`, restore cost-based planning over) the
 /// access-path decision for the whole process.
 pub fn set_forced_path(path: Option<ForcedPath>) {
-    FORCE_PATH.store(ForcedPath::code(path), Ordering::Relaxed);
+    FORCE_PATH.store(path.map_or(0, |p| p as u8 + 1), Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +426,7 @@ pub struct PlanEntry {
     pub est_pages: f64,
     /// Total estimated cost in page-cost units.
     pub cost: f64,
-    /// What made the decision: `cost`, `rule`, or `forced:<path>`.
+    /// What made the decision: `cost` or `forced:<path>`.
     pub chosen_by: String,
 }
 
@@ -894,11 +841,10 @@ fn path_label(cand: Option<&ScanCandidate>) -> String {
 /// Pick an access path for one table scan.
 ///
 /// `candidates` lists first one single-column entry per bounded leading
-/// key column, in the order the bounds appear in the predicate list (the
-/// old rule's tie-break; `rule` looks at nothing else), then the
-/// multi-column ones. A sequential scan is always considered implicitly.
-/// The decision (including any `ARCHIS_FORCE_PATH` override) is appended
-/// to the thread's plan log.
+/// key column, in the order the bounds appear in the predicate list, then
+/// the multi-column ones. A sequential scan is always considered
+/// implicitly. The decision (including any [`set_forced_path`] override)
+/// is appended to the thread's plan log.
 pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choice {
     let forced = forced_path();
     let (winner, chosen_by): (Option<usize>, String) = match forced {
@@ -911,7 +857,6 @@ pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choi
             let idx = pick_cheapest(profile, candidates, Some(PathKind::Cluster));
             (idx, "forced:cluster".to_string())
         }
-        Some(ForcedPath::Rule) => (rule_choice(candidates), "rule".to_string()),
         None => (pick_cheapest(profile, candidates, None), "cost".to_string()),
     };
     let cand = winner.map(|i| &candidates[i]);
@@ -967,25 +912,6 @@ fn pick_cheapest(
             best.and_then(|(i, c)| if c < seq { Some(i) } else { None })
         }
     }
-}
-
-/// The pre-planner fixed rule: first bounded column wins; a later
-/// equality-bounded column replaces a range-bounded choice. The rule
-/// predates multi-column candidates and does not see them.
-fn rule_choice(candidates: &[ScanCandidate]) -> Option<usize> {
-    let eq = |c: &ScanCandidate| c.bounds.first().is_some_and(|b| b.eq);
-    let mut best: Option<usize> = None;
-    for (i, c) in candidates.iter().enumerate() {
-        if c.bounds.len() != 1 {
-            continue;
-        }
-        match best {
-            None => best = Some(i),
-            Some(b) if !eq(&candidates[b]) && eq(c) => best = Some(i),
-            _ => {}
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -1210,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn rule_and_forced_kinds_with_composite_candidates() {
+    fn cost_and_forced_index_take_the_composite_candidate() {
         let _g = FORCE_LOCK.lock();
         let profile = ten_segment_profile();
         let cands = [
@@ -1218,14 +1144,11 @@ mod tests {
             index_cand("by_id", vec![eq_bound("id", 7)]),
             index_cand("by_seg", vec![eq_bound("segno", 3), eq_bound("id", 7)]),
         ];
-        // Cost-based and forced `index` both take the point access; the
-        // old rule never sees it and keeps its first single-column bound.
+        // Cost-based and forced `index` both take the point access.
         reset_force();
         assert_eq!(take_choice(&profile, &cands).candidate, Some(2));
         set_forced_path(Some(ForcedPath::Index));
         assert_eq!(take_choice(&profile, &cands).candidate, Some(2));
-        set_forced_path(Some(ForcedPath::Rule));
-        assert_eq!(take_choice(&profile, &cands).candidate, Some(0));
         reset_force();
         let entry = take_choice(&profile, &cands).entry;
         assert_eq!(entry.path, "index(by_seg)");
@@ -1264,35 +1187,7 @@ mod tests {
         set_forced_path(Some(ForcedPath::Seq));
         let c = take_choice(&profile, std::slice::from_ref(&cand));
         assert_eq!(c.kind, PathKind::Seq);
-        set_forced_path(Some(ForcedPath::Rule));
-        let c = take_choice(&profile, std::slice::from_ref(&cand));
-        assert_eq!(c.kind, PathKind::Index, "old rule takes any bound");
         reset_force();
-    }
-
-    #[test]
-    fn rule_prefers_equality_in_pred_order() {
-        let range = index_cand(
-            "a",
-            vec![bound(
-                "x",
-                false,
-                Bound::Included(Value::Int(0)),
-                Bound::Unbounded,
-            )],
-        );
-        let eq = index_cand(
-            "b",
-            vec![bound(
-                "y",
-                true,
-                Bound::Included(Value::Int(1)),
-                Bound::Included(Value::Int(1)),
-            )],
-        );
-        assert_eq!(rule_choice(&[range.clone(), eq.clone()]), Some(1));
-        assert_eq!(rule_choice(&[eq.clone(), range.clone()]), Some(0));
-        assert_eq!(rule_choice(&[range.clone(), range]), Some(0));
     }
 
     #[test]

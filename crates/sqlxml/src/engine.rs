@@ -9,8 +9,7 @@
 //!    clustered key become access-path candidates that
 //!    [`relstore::planner`] costs against a sequential scan using the
 //!    per-segment statistics catalog (the paper's `segno = sn` segment
-//!    restriction, §6.3, rides in as a candidate bound; set
-//!    `ARCHIS_FORCE_PATH` to pin or A/B the decision),
+//!    restriction, §6.3, rides in as a candidate bound),
 //! 2. equality join conditions (`N.id = T.id`) execute as sort-merge
 //!    joins — "very fast (in linear time) since every table is already
 //!    sorted on its id attribute" (§5.3),
@@ -592,9 +591,7 @@ fn scan_table(
     let is_key_column = |col: &String| {
         cluster_cols.contains(col) || index_defs.iter().any(|d| d.columns.contains(col))
     };
-    // Merge the bounds on each key column, in first-appearance order (the
-    // old fixed rule's tie-break order, which `ARCHIS_FORCE_PATH=rule`
-    // reproduces).
+    // Merge the bounds on each key column, in first-appearance order.
     let mut bounded: Vec<planner::ColumnBound> = Vec::new();
     for p in preds {
         let Some((SqlExpr::Col { name: col, .. }, op, v)) = col_op_lit(p, scope) else {
@@ -719,16 +716,12 @@ fn scan_table(
 /// scanning every segment in its own thread and concatenating the results
 /// in ascending segment order is byte-identical to the sequential primary
 /// range scan. Returns `None` (caller falls back to the sequential scan)
-/// unless both bounds are inclusive integers spanning 2..=64 segments and
-/// [`relstore::parallel`] is enabled.
+/// unless both bounds are inclusive integers spanning 2..=64 segments.
 fn parallel_cluster_scan(
     table: &Table,
     lo: &Bound<Vec<Value>>,
     hi: &Bound<Vec<Value>>,
 ) -> Result<Option<Vec<Row>>> {
-    if !relstore::parallel::parallel_scans_enabled() {
-        return Ok(None);
-    }
     let one_int = |b: &Bound<Vec<Value>>| -> Option<i64> {
         match b {
             Bound::Included(v) => match v.as_slice() {
@@ -1307,5 +1300,51 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.xml_fragments().join(""), "<all/>");
+    }
+
+    /// The per-segment thread fan-out is invisible: it returns what one
+    /// serial `cluster_range` over the whole segment bound returns.
+    #[test]
+    fn parallel_cluster_scan_equals_one_serial_range() {
+        let db = Database::in_memory();
+        let t = db
+            .create_table(
+                "employee_salary",
+                Schema::new(vec![
+                    Field::new("segno", DataType::Int),
+                    Field::new("id", DataType::Int),
+                    Field::new("salary", DataType::Int),
+                ]),
+                StorageKind::Clustered,
+                &["segno", "id"],
+            )
+            .unwrap();
+        // Inserted out of key order, segments 0..=5, 40 ids each.
+        for id in (0..40i64).rev() {
+            for segno in [3i64, 0, 5, 1, 4, 2] {
+                t.insert(vec![
+                    Value::Int(segno),
+                    Value::Int(id),
+                    Value::Int(segno * 1_000 + id),
+                ])
+                .unwrap();
+            }
+        }
+        let (lo, hi) = (vec![Value::Int(1)], vec![Value::Int(4)]);
+        let fanned = parallel_cluster_scan(
+            &t,
+            &Bound::Included(lo.clone()),
+            &Bound::Included(hi.clone()),
+        )
+        .unwrap()
+        .expect("four segments fan out");
+        let serial = t
+            .cluster_range(Bound::Included(&lo[..]), Bound::Included(&hi[..]))
+            .unwrap();
+        assert_eq!(fanned.len(), 4 * 40);
+        assert_eq!(fanned, serial);
+        // One segment (or a non-integer bound) is left to the serial scan.
+        let one = Bound::Included(lo);
+        assert!(parallel_cluster_scan(&t, &one, &one).unwrap().is_none());
     }
 }

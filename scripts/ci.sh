@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Full CI pipeline: tier-1 build + tests, then the extended fault-injection
-# torture suites, then (optionally) the benchmark smoke jobs.
+# torture suites, then the standing benchmark's correctness runs.
 #
-#   scripts/ci.sh            # build + tests + failpoints torture + archis-bench self-check
-#   CI_BENCH=1 scripts/ci.sh # additionally run the commit + scan microbenches
+#   scripts/ci.sh            # build + tests + failpoints torture + archis-bench checks
 #
 # Fully offline: all external deps are path shims under shims/ — this
 # script never touches the network.
@@ -90,83 +89,36 @@ echo "== failpoints torture: 240-seed fsck bit-rot sweep =="
 # identical to the uncorrupted archive.
 cargo test -q -p archis-fsck --features failpoints
 
-echo "== standing benchmark: self-check + query workloads on held-out seeds =="
+echo "== standing benchmark: unit tests, self-check, workloads on held-out seeds =="
 # archis-bench checks every answer against its reference model. The
-# self-check runs all six workloads once; the three query workloads then
-# run briefly on seeds kept out of development (not 42, not 7), because
-# a planner change that is wrong only for some ids or dates shows up as a
-# failed operation on a fresh seed, not as a slower one. Timings are not
-# gated here — only `"correct": true, "failed": 0` on every result line.
+# self-check runs all six workloads once; the query workloads and `mixed`
+# then run on seeds kept out of development (not 42, not 7), because a
+# planner change that is wrong only for some ids or dates shows up as a
+# failed operation on a fresh seed, not as a slower one. They run at the
+# contract's length (BENCHMARK.json run_seconds = 8): the query sequence
+# is seeded, so a wrong answer at position N is only reached by a run long
+# enough to get there. Seed 42 repeats the write workloads at that length
+# (its L stream once carried a hire-day leave). Timings are not gated
+# here — only `"correct": true, "failed": 0` on every result line.
+cargo test --manifest-path benchmark/Cargo.toml -q
 bench=(cargo run --release --quiet --manifest-path benchmark/Cargo.toml --)
 "${bench[@]}" --verify-only
+check() { # workload seed
+    local line
+    line=$("${bench[@]}" --workload "$1" --seed "$2" --seconds 8 --trace 0 | tail -n 1)
+    if ! grep -Eq '"correct": ?true' <<<"$line" || ! grep -Eq '"failed": ?0[,}]' <<<"$line"; then
+        echo "archis-bench $1 seed $2: $line"
+        exit 1
+    fi
+    echo "archis-bench $1 seed $2: correct, 0 failed"
+}
 for seed in 1009 2017 4099; do
-    for workload in query-warm query-cold query-compressed; do
-        line=$("${bench[@]}" --workload "$workload" --seed "$seed" --seconds 2 --trace 0 | tail -n 1)
-        if ! grep -Eq '"correct": ?true' <<<"$line" || ! grep -Eq '"failed": ?0[,}]' <<<"$line"; then
-            echo "archis-bench $workload seed $seed: $line"
-            exit 1
-        fi
-        echo "archis-bench $workload seed $seed: correct, 0 failed"
+    for workload in query-warm query-cold query-compressed mixed; do
+        check "$workload" "$seed"
     done
 done
-
-if [[ "${CI_BENCH:-0}" != "0" ]]; then
-    echo "== bench: commit + scan + ingest microbenches =="
-    ./target/release/reproduce -e commit --runs 3
-    ./target/release/reproduce -e scan --runs 3
-    ./target/release/reproduce -e ingest --runs 3
-    # Batched ingest must beat row-at-a-time transactions by ≥5x (the
-    # PR's acceptance bar); the JSON is written by the ingest experiment.
-    speedup=$(awk -F': ' '/speedup_1024_over_1/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_ingest.json)
-    awk -v s="$speedup" 'BEGIN { if (s + 0 < 5.0) { print "ingest speedup " s "x < 5x"; exit 1 } else { print "ingest speedup " s "x >= 5x" } }'
-    # The overlapped WAL commit pipeline must beat synchronous group
-    # commit by ≥1.3x at batch 64 on the modeled log device.
-    pipe=$(awk -F': ' '/pipeline_speedup_64/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_commit.json)
-    awk -v s="$pipe" 'BEGIN { if (s + 0 < 1.3) { print "pipeline speedup " s "x < 1.3x"; exit 1 } else { print "pipeline speedup " s "x >= 1.3x" } }'
-    # Segment prefetch must beat the serial cold clustered-range scan by
-    # ≥1.5x on the modeled cold device.
-    pf=$(awk -F': ' '/prefetch_speedup/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_scan.json)
-    awk -v s="$pf" 'BEGIN { if (s + 0 < 1.5) { print "prefetch speedup " s "x < 1.5x"; exit 1 } else { print "prefetch speedup " s "x >= 1.5x" } }'
-
-    echo "== bench: cost-based planner microbench =="
-    # Scale 300: the planner's one extra statistics load per statement
-    # (~12 logical reads; the rule translates without it) is a constant,
-    # and since point queries stopped walking heap chains the totals at
-    # scale 100 are small enough for it to read as 7 % on Q6.
-    ./target/release/reproduce -e plan --runs 3 --scale 300
-    # The cost-based planner must match the hand-wired access-path rule
-    # on Q1-Q6 (>= 0.95x on buffer-pool logical reads) and beat it by
-    # >= 2x on every adversarial query; the JSON is written by the plan
-    # experiment.
-    std=$(awk -F': ' '/min_ratio_standard/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_plan.json)
-    awk -v s="$std" 'BEGIN { if (s + 0 < 0.95) { print "planner standard ratio " s "x < 0.95x"; exit 1 } else { print "planner standard ratio " s "x >= 0.95x" } }'
-    adv=$(awk -F': ' '/min_ratio_adversarial/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_plan.json)
-    awk -v s="$adv" 'BEGIN { if (s + 0 < 2.0) { print "planner adversarial ratio " s "x < 2x"; exit 1 } else { print "planner adversarial ratio " s "x >= 2x" } }'
-
-    echo "== bench: concurrent MVCC microbench =="
-    ./target/release/reproduce -e concurrent --runs 5
-    # Snapshot readers must not block the writer: ≤10% ingest overhead
-    # with 2 paced readers (measured against the idle-thread control, so
-    # single-core scheduler tax doesn't drown the MVCC signal), and more
-    # readers must increase snapshot-query throughput.
-    ov=$(awk -F': ' '/writer_overhead_pct_2r/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_concurrent.json)
-    awk -v s="$ov" 'BEGIN { if (s + 0 > 10.0) { print "2-reader writer overhead " s "% > 10%"; exit 1 } else { print "2-reader writer overhead " s "% <= 10%" } }'
-    sc=$(awk -F': ' '/reader_scaling_4r_over_2r/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_concurrent.json)
-    awk -v s="$sc" 'BEGIN { if (s + 0 < 1.2) { print "reader scaling " s "x < 1.2x"; exit 1 } else { print "reader scaling " s "x >= 1.2x" } }'
-
-    echo "== bench: replication microbench =="
-    ./target/release/reproduce -e replica --runs 3
-    # A cold replica must replay the shipped history at >= 2000 pages/s,
-    # one poll per ingest batch must fully drain the stream (post-poll
-    # lag <= 1 commit), and concurrent snapshot readers must not collapse
-    # throughput (reads serialize on the replica's pager lock, so we gate
-    # on no-pathological-contention rather than linear speedup).
-    cu=$(awk -F': ' '/catch_up_pages_per_sec/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_replica.json)
-    awk -v s="$cu" 'BEGIN { if (s + 0 < 2000.0) { print "replica catch-up " s " pages/s < 2000"; exit 1 } else { print "replica catch-up " s " pages/s >= 2000" } }'
-    lag=$(awk -F': ' '/post_poll_max_commits/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_replica.json)
-    awk -v s="$lag" 'BEGIN { if (s + 0 > 1.0) { print "replica post-poll lag " s " commits > 1"; exit 1 } else { print "replica post-poll lag " s " commits <= 1" } }'
-    rsc=$(awk -F': ' '/scan_scaling_4r_over_1r/ { gsub(/[ ,]/, "", $2); print $2 }' BENCH_replica.json)
-    awk -v s="$rsc" 'BEGIN { if (s + 0 < 0.8) { print "replica snapshot-read scaling " s "x < 0.8x"; exit 1 } else { print "replica snapshot-read scaling " s "x >= 0.8x" } }'
-fi
+for workload in ingest-archive mixed; do
+    check "$workload" 42
+done
 
 echo "CI OK"
