@@ -21,11 +21,10 @@
 //! by id, carry only live rows forward, record the segment's interval).
 //!
 //! Segment scans here go through [`relstore::Table::index_lookup`] /
-//! index range streams, which derive page runs from the B+tree leaf chain
-//! and hand them to the buffer pool's prefetcher when it is enabled
-//! ([`relstore::BufferPool::enable_prefetch`]): copying a whole live
-//! segment during archival, or walking an archived segment's rows,
-//! overlaps the next leaf/heap pages' I/O with processing the current ones.
+//! index range streams, which walk the B+tree leaf chain and fetch each
+//! row on demand on the caller's thread: copying a whole live segment
+//! during archival, or walking an archived segment's rows, reads the
+//! segment's pages in clustered order.
 
 use crate::htable::{self, LIVE_SEGNO};
 use crate::spec::RelationSpec;

@@ -21,11 +21,6 @@ const LEAF_TAG: u8 = 0;
 const INTERNAL_TAG: u8 = 1;
 const NO_PAGE: u64 = u64::MAX;
 
-/// Most leaves one [`BTree::prefetch_range`] call will hint. Bounds the
-/// internal-node walk and keeps a huge range from flooding the readahead
-/// queue with pages the cursor will not reach for a long time.
-const PREFETCH_LEAF_CAP: usize = 512;
-
 /// Leaf header: tag(1) + count(2) + next(8).
 const LEAF_HEADER: usize = 11;
 /// Internal header: tag(1) + count(2) + first child(8).
@@ -628,118 +623,6 @@ impl BTree {
         })
     }
 
-    /// The leaf pages a `range(lo, hi)` walk will visit, in visit order,
-    /// derived **without loading any leaf**: the tree's height is measured
-    /// by one descent along the `lo` edge (those internal nodes are warm
-    /// for the range call that follows), then only internal nodes are
-    /// walked to enumerate the child pointers one level above the leaves.
-    /// Capped at `cap` leaves; bounds are conservative (a leaf or two past
-    /// `hi` may be included — harmless for readahead).
-    pub fn leaf_runs(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>, cap: usize) -> Result<Vec<PageId>> {
-        let start_key: &[u8] = match lo {
-            Bound::Included(k) | Bound::Excluded(k) => k,
-            Bound::Unbounded => &[],
-        };
-        let hi_key: Option<&[u8]> = match hi {
-            Bound::Included(k) | Bound::Excluded(k) => Some(k),
-            Bound::Unbounded => None,
-        };
-        let root = *self.root.lock();
-        // Height probe along the lo edge (same strict-< child choice as
-        // `range`, see the comment there about duplicate keys).
-        let mut depth = 0usize;
-        let mut pid = root;
-        loop {
-            match self.load(pid)? {
-                Node::Leaf { .. } => break,
-                Node::Internal {
-                    first_child,
-                    entries,
-                } => {
-                    let idx = entries.partition_point(|(k, _)| k.as_slice() < start_key);
-                    pid = if idx == 0 {
-                        first_child
-                    } else {
-                        entries[idx - 1].1
-                    };
-                    depth += 1;
-                }
-            }
-        }
-        if depth == 0 {
-            return Ok(vec![root]);
-        }
-        let mut out = Vec::new();
-        self.collect_leaf_children(root, depth, start_key, hi_key, cap, &mut out)?;
-        Ok(out)
-    }
-
-    /// Recursive arm of [`BTree::leaf_runs`]: walk internal nodes down to
-    /// one level above the leaves, pushing in-range child (leaf) pointers.
-    fn collect_leaf_children(
-        &self,
-        pid: PageId,
-        depth: usize,
-        start_key: &[u8],
-        hi_key: Option<&[u8]>,
-        cap: usize,
-        out: &mut Vec<PageId>,
-    ) -> Result<()> {
-        if out.len() >= cap {
-            return Ok(());
-        }
-        let Node::Internal {
-            first_child,
-            entries,
-        } = self.load(pid)?
-        else {
-            // Shallower than the probe said (concurrent restructure):
-            // readahead is advisory, so just stop quietly.
-            return Ok(());
-        };
-        let idx = entries.partition_point(|(k, _)| k.as_slice() < start_key);
-        for j in idx..=entries.len() {
-            if out.len() >= cap {
-                break;
-            }
-            // Child j's subtree holds keys ≥ its lower separator; once
-            // that separator passes `hi` the remaining children are out of
-            // range. (`>` even for an exclusive bound: one extra leaf is
-            // cheaper than reasoning about duplicate separators here.)
-            if j > 0 {
-                if let Some(h) = hi_key {
-                    if entries[j - 1].0.as_slice() > h {
-                        break;
-                    }
-                }
-            }
-            let child = if j == 0 {
-                first_child
-            } else {
-                entries[j - 1].1
-            };
-            if depth == 1 {
-                out.push(child);
-            } else {
-                self.collect_leaf_children(child, depth - 1, start_key, hi_key, cap, out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Hint the buffer pool's readahead workers at the leaf pages a
-    /// `range(lo, hi)` walk is about to visit. A cheap no-op when prefetch
-    /// is disabled; errors are swallowed (the scan itself will surface
-    /// them with proper context).
-    pub fn prefetch_range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) {
-        if !self.pool.prefetch_enabled() {
-            return;
-        }
-        if let Ok(runs) = self.leaf_runs(lo, hi, PREFETCH_LEAF_CAP) {
-            self.pool.prefetch_hint(&runs);
-        }
-    }
-
     /// Entries whose key starts with `prefix`, in key order.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<RangeIter> {
         let hi = prefix_upper(prefix);
@@ -1107,82 +990,6 @@ mod tests {
             collect(Bound::Included(&hi), Bound::Unbounded),
             (20..100).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn leaf_runs_cover_exactly_the_pages_a_range_walk_visits() {
-        let t = tree();
-        for k in 0u32..3000 {
-            t.insert(&k.to_be_bytes(), format!("v{k}").as_bytes())
-                .unwrap();
-        }
-        // The leaf chain a full walk visits, gathered directly.
-        let mut walked = Vec::new();
-        let mut pid = {
-            let mut p = *t.root.lock();
-            loop {
-                match t.load(p).unwrap() {
-                    Node::Leaf { .. } => break p,
-                    Node::Internal { first_child, .. } => p = first_child,
-                }
-            }
-        };
-        loop {
-            walked.push(pid);
-            match t.load(pid).unwrap() {
-                Node::Leaf { next: Some(n), .. } => pid = n,
-                Node::Leaf { next: None, .. } => break,
-                Node::Internal { .. } => unreachable!("leaf chain left the leaf level"),
-            }
-        }
-        let runs = t
-            .leaf_runs(Bound::Unbounded, Bound::Unbounded, usize::MAX)
-            .unwrap();
-        assert_eq!(runs, walked, "unbounded runs = the whole leaf chain");
-
-        // A bounded range's runs are a contiguous slice of the chain that
-        // covers every leaf the bounded walk touches.
-        let lo = 700u32.to_be_bytes();
-        let hi = 2100u32.to_be_bytes();
-        let bounded = t
-            .leaf_runs(Bound::Included(&lo), Bound::Excluded(&hi), usize::MAX)
-            .unwrap();
-        assert!(!bounded.is_empty());
-        let start = walked
-            .iter()
-            .position(|p| *p == bounded[0])
-            .expect("runs start on the chain");
-        assert_eq!(
-            &walked[start..start + bounded.len()],
-            &bounded[..],
-            "bounded runs are a contiguous chain slice"
-        );
-        let n: usize = t
-            .range(Bound::Included(&lo[..]), Bound::Excluded(&hi[..]))
-            .unwrap()
-            .count();
-        assert_eq!(n, 1400);
-        // Every key in range lives in a leaf listed by leaf_runs: prove it
-        // by checking the leaves outside `bounded` hold no in-range key.
-        for (i, leaf) in walked.iter().enumerate() {
-            if i >= start && i < start + bounded.len() {
-                continue;
-            }
-            let Node::Leaf { entries, .. } = t.load(*leaf).unwrap() else {
-                unreachable!()
-            };
-            assert!(
-                !entries
-                    .iter()
-                    .any(|(k, _)| k.as_slice() >= &lo[..] && k.as_slice() < &hi[..]),
-                "leaf {leaf} outside the runs holds an in-range key"
-            );
-        }
-
-        // The cap is honoured.
-        let capped = t.leaf_runs(Bound::Unbounded, Bound::Unbounded, 3).unwrap();
-        assert_eq!(capped.len(), 3);
-        assert_eq!(&walked[..3], &capped[..]);
     }
 
     #[test]

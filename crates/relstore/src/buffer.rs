@@ -16,29 +16,18 @@
 //! empties the cache to emulate the paper's "unmount the drive between
 //! queries" protocol.
 //!
-//! Two optional background services ride on the pool, both **off by
-//! default** so the deterministic read/write counts above stay exact:
-//!
-//! * **Prefetch** ([`BufferPool::enable_prefetch`]): scans hand page-run
-//!   hints to worker threads (see [`crate::prefetch`]) that fault pages in
-//!   ahead of the cursor. Hits and waste are tracked in [`IoStats`].
-//! * **Background writeback** ([`BufferPool::enable_writeback`]): a
-//!   flusher thread trickles dirty, unpinned frames back to the pager so
-//!   CLOCK eviction almost never has to do a synchronous `write_page`.
-//!   Under the WAL pager this is always safe: `write_page` only *stages*
-//!   an image in the in-memory page table — nothing reaches the log or
-//!   the base file before the commit record, so WAL ordering is preserved
-//!   structurally no matter when the flusher runs.
+//! All pool I/O happens on the caller's thread: a miss faults the page in
+//! under its shard lock, and dirty frames reach the pager only through
+//! CLOCK eviction or an explicit [`BufferPool::flush_all`] /
+//! [`BufferPool::flush_dirty`].
 
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
-use crate::prefetch::Prefetcher;
 use crate::{Result, StoreError};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One cached page.
 pub struct Frame {
@@ -54,7 +43,7 @@ pub struct Frame {
 pub struct IoStats {
     /// Page requests served (hits + misses).
     pub logical_reads: u64,
-    /// Pages faulted in from the pager (prefetch reads included).
+    /// Pages faulted in from the pager.
     pub physical_reads: u64,
     /// Dirty pages written back (evictions + checkpoint/commit flushes).
     pub physical_writes: u64,
@@ -66,15 +55,11 @@ pub struct IoStats {
     /// ([`BufferPool::flush_all`] / [`BufferPool::flush_dirty`], i.e.
     /// commits and checkpoints).
     pub writes_checkpoint: u64,
-    /// Dirty write-backs done by the background flusher thread.
-    pub writes_writeback: u64,
-    /// Pages read ahead of a cursor by the prefetch workers.
+    /// Always 0; kept for archis-bench until a benchmark PR drops `pool.prefetch_*`.
     pub prefetch_issued: u64,
-    /// Cache hits served from a frame a prefetch worker loaded.
+    /// Always 0; kept for archis-bench until a benchmark PR drops `pool.prefetch_*`.
     pub prefetch_hits: u64,
-    /// Prefetched pages that were dropped (evicted or flushed) without
-    /// ever serving a hit, plus prefetch reads that lost the race with a
-    /// foreground fault on the same page.
+    /// Always 0; kept for archis-bench until a benchmark PR drops `pool.prefetch_*`.
     pub prefetch_wasted: u64,
     /// Page reads whose on-disk checksum verified clean (file-backed
     /// pagers only; in-memory pagers report 0).
@@ -103,9 +88,6 @@ struct Slot {
     frame: Arc<RwLock<Frame>>,
     /// CLOCK reference bit: set on every hit, cleared by the sweep.
     referenced: bool,
-    /// Loaded by a prefetch worker and not yet hit. Cleared (and counted
-    /// as a hit) on first `get`; counted as waste if dropped still set.
-    prefetched: bool,
 }
 
 /// Shard state: an index into stable slot positions plus the clock hand.
@@ -117,10 +99,8 @@ struct Shard {
     hand: usize,
 }
 
-/// The shareable heart of the pool: shards, pager and counters. Worker
-/// threads (prefetch, writeback) hold their own `Arc<PoolCore>` so the
-/// cache outlives neither them nor the foreground handle.
-pub(crate) struct PoolCore {
+/// A pinning buffer pool over a [`Pager`] with per-shard CLOCK eviction.
+pub struct BufferPool {
     pager: Arc<dyn Pager>,
     capacity: usize,
     /// Per-shard frame budget (`capacity ÷ shards`, rounded up).
@@ -132,13 +112,50 @@ pub(crate) struct PoolCore {
     evictions: AtomicU64,
     writes_evict: AtomicU64,
     writes_checkpoint: AtomicU64,
-    writes_writeback: AtomicU64,
-    pub(crate) prefetch_issued: AtomicU64,
-    prefetch_hits: AtomicU64,
-    pub(crate) prefetch_wasted: AtomicU64,
 }
 
-impl PoolCore {
+impl BufferPool {
+    /// A pool holding at most `capacity` pages over `pager`.
+    pub fn new(pager: Arc<dyn Pager>, capacity: usize) -> Self {
+        let capacity = capacity.max(8);
+        // Small pools stay single-sharded so capacity semantics (and the
+        // deterministic cold-read counts the benchmarks rely on) match the
+        // unsharded pool exactly; big pools split into up to 16 shards.
+        let nshards = (capacity / 64).clamp(1, 16).next_power_of_two();
+        let nshards = if nshards * 64 > capacity {
+            (nshards / 2).max(1)
+        } else {
+            nshards
+        };
+        BufferPool {
+            pager,
+            capacity,
+            shard_capacity: capacity.div_ceil(nshards),
+            shards: (0..nshards).map(|_| Mutex::new(Shard::default())).collect(),
+            logical_reads: AtomicU64::new(0),
+            physical_reads: AtomicU64::new(0),
+            physical_writes: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            writes_evict: AtomicU64::new(0),
+            writes_checkpoint: AtomicU64::new(0),
+        }
+    }
+
+    /// The underlying pager.
+    pub fn pager(&self) -> &Arc<dyn Pager> {
+        &self.pager
+    }
+
+    /// Maximum resident pages.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Number of lock shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
     fn shard_of(&self, id: PageId) -> &Mutex<Shard> {
         // Fibonacci multiplicative hash spreads the sequential page ids
         // the pager hands out evenly across shards.
@@ -147,7 +164,9 @@ impl PoolCore {
             [(h >> (64 - self.shards.len().trailing_zeros().max(1))) as usize % self.shards.len()]
     }
 
-    fn get(&self, id: PageId) -> Result<Arc<RwLock<Frame>>> {
+    /// Fetch a page, faulting it in if needed. The returned frame stays
+    /// pinned (ineligible for eviction) while the `Arc` is held.
+    pub fn get(&self, id: PageId) -> Result<Arc<RwLock<Frame>>> {
         self.logical_reads.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard_of(id).lock();
         if let Some(&pos) = shard.map.get(&id) {
@@ -159,10 +178,6 @@ impl PoolCore {
                 )
             })?;
             slot.referenced = true;
-            if slot.prefetched {
-                slot.prefetched = false;
-                self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            }
             return Ok(slot.frame.clone());
         }
         // Fault under the shard lock so concurrent readers of the same
@@ -173,57 +188,27 @@ impl PoolCore {
         // dropping it would let two threads load the same page into two frames)
         self.pager.read_page(id, &mut data[..])?;
         let frame = Arc::new(RwLock::new(Frame { data, dirty: false }));
-        self.admit(&mut shard, id, frame.clone(), false)?;
+        self.admit(&mut shard, id, frame.clone())?;
         Ok(frame)
     }
 
-    /// Whether `id` currently has a frame (prefetch workers use this to
-    /// skip resident pages without disturbing any counter).
-    pub(crate) fn is_resident(&self, id: PageId) -> bool {
-        self.shard_of(id).lock().map.contains_key(&id)
-    }
-
-    /// The pager, for worker threads that read outside any shard lock.
-    pub(crate) fn pager(&self) -> &Arc<dyn Pager> {
-        &self.pager
-    }
-
-    /// Count one pager read done outside the normal fault path (prefetch
-    /// workers read before they know whether the page will be admitted).
-    pub(crate) fn count_physical_read(&self) {
-        self.physical_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Install a page image loaded by a prefetch worker. Returns `false`
-    /// (and counts the read as wasted) if the page became resident while
-    /// the worker was reading it — the foreground won the race.
-    pub(crate) fn insert_prefetched(&self, id: PageId, data: Box<[u8; PAGE_SIZE]>) -> bool {
+    /// Allocate a fresh page and return `(id, pinned frame)`. The frame is
+    /// created dirty so it reaches the pager even if never written again.
+    pub fn allocate(&self) -> Result<(PageId, Arc<RwLock<Frame>>)> {
+        let id = self.pager.allocate()?;
+        let frame = Arc::new(RwLock::new(Frame {
+            data: Box::new([0u8; PAGE_SIZE]),
+            dirty: true,
+        }));
         let mut shard = self.shard_of(id).lock();
-        if shard.map.contains_key(&id) {
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let frame = Arc::new(RwLock::new(Frame { data, dirty: false }));
-        // Errors here mean eviction failed to write a dirty victim; the
-        // readahead page is simply dropped and the foreground will surface
-        // the same error on its own synchronous path.
-        if self.admit(&mut shard, id, frame, true).is_err() {
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        true
+        self.admit(&mut shard, id, frame.clone())?;
+        Ok((id, frame))
     }
 
     /// Insert a frame, evicting via CLOCK while the shard is over budget.
     /// When every resident frame is pinned the shard overflows temporarily
     /// (same policy as the paper's pin-respecting pools).
-    fn admit(
-        &self,
-        shard: &mut Shard,
-        id: PageId,
-        frame: Arc<RwLock<Frame>>,
-        prefetched: bool,
-    ) -> Result<()> {
+    fn admit(&self, shard: &mut Shard, id: PageId, frame: Arc<RwLock<Frame>>) -> Result<()> {
         while shard.map.len() >= self.shard_capacity {
             if !self.evict_one(shard)? {
                 break; // everything pinned: allow temporary overflow
@@ -232,11 +217,7 @@ impl PoolCore {
         let slot = Slot {
             id,
             frame,
-            // Prefetched frames start without the reference bit: a page
-            // nobody ever asks for loses its slot on the first sweep
-            // instead of surviving a bonus lap.
-            referenced: !prefetched,
-            prefetched,
+            referenced: true,
         };
         let pos = match shard.free.pop() {
             Some(pos) => {
@@ -281,9 +262,6 @@ impl PoolCore {
             };
             shard.map.remove(&slot.id);
             shard.free.push(pos);
-            if slot.prefetched {
-                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            }
             let guard = slot.frame.read();
             if guard.dirty {
                 self.physical_writes.fetch_add(1, Ordering::Relaxed);
@@ -298,286 +276,21 @@ impl PoolCore {
         Ok(false)
     }
 
-    /// One background-writeback round: write back up to `budget` dirty,
-    /// unpinned frames and clear their dirty bits. Frames stay resident —
-    /// this only makes future evictions cheap, it evicts nothing itself.
-    fn writeback_round(&self, budget: usize) -> Result<usize> {
-        let mut written = 0usize;
-        for shard in &self.shards {
-            if written >= budget {
-                break;
-            }
-            // Collect candidates under the shard lock, write them outside
-            // it: the frame's own lock keeps the image stable, and the
-            // brief extra Arc merely pins the frame against eviction while
-            // it is being cleaned.
-            let candidates: Vec<(PageId, Arc<RwLock<Frame>>)> = {
-                let shard = shard.lock();
-                shard
-                    .slots
-                    .iter()
-                    .flatten()
-                    .filter(|s| Arc::strong_count(&s.frame) == 1)
-                    .take(budget - written)
-                    .map(|s| (s.id, s.frame.clone()))
-                    .collect()
-            };
-            for (id, frame) in &candidates {
-                let mut guard = frame.write();
-                if !guard.dirty {
-                    continue;
-                }
-                self.physical_writes.fetch_add(1, Ordering::Relaxed);
-                self.writes_writeback.fetch_add(1, Ordering::Relaxed);
-                // lint:allow(background writeback writes through the catalog's
-                // WAL-aware pager: under a WalPager this only stages the image in
-                // memory, so no uncommitted byte reaches the log or base file)
-                self.pager.write_page(*id, &guard.data[..])?;
-                guard.dirty = false;
-                written += 1;
-            }
-        }
-        Ok(written)
-    }
-}
-
-/// Background flusher: shared handshake state for pause/quiesce/shutdown.
-struct FlusherShared {
-    state: Mutex<FlusherState>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct FlusherState {
-    shutdown: bool,
-    paused: bool,
-    /// True while the worker is inside a writeback round; `quiesce` waits
-    /// for it to drop so "paused" means "not touching the pager".
-    busy: bool,
-}
-
-struct Flusher {
-    shared: Arc<FlusherShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-/// How long the flusher sleeps between trickle rounds.
-const FLUSH_INTERVAL: Duration = Duration::from_millis(2);
-/// Dirty frames written per trickle round.
-const FLUSH_BUDGET: usize = 32;
-
-/// A pinning buffer pool over a [`Pager`] with per-shard CLOCK eviction.
-pub struct BufferPool {
-    core: Arc<PoolCore>,
-    prefetcher: Mutex<Option<Arc<Prefetcher>>>,
-    flusher: Mutex<Option<Flusher>>,
-}
-
-impl BufferPool {
-    /// A pool holding at most `capacity` pages over `pager`.
-    pub fn new(pager: Arc<dyn Pager>, capacity: usize) -> Self {
-        let capacity = capacity.max(8);
-        // Small pools stay single-sharded so capacity semantics (and the
-        // deterministic cold-read counts the benchmarks rely on) match the
-        // unsharded pool exactly; big pools split into up to 16 shards.
-        let nshards = (capacity / 64).clamp(1, 16).next_power_of_two();
-        let nshards = if nshards * 64 > capacity {
-            (nshards / 2).max(1)
-        } else {
-            nshards
-        };
-        BufferPool {
-            core: Arc::new(PoolCore {
-                pager,
-                capacity,
-                shard_capacity: capacity.div_ceil(nshards),
-                shards: (0..nshards).map(|_| Mutex::new(Shard::default())).collect(),
-                logical_reads: AtomicU64::new(0),
-                physical_reads: AtomicU64::new(0),
-                physical_writes: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                writes_evict: AtomicU64::new(0),
-                writes_checkpoint: AtomicU64::new(0),
-                writes_writeback: AtomicU64::new(0),
-                prefetch_issued: AtomicU64::new(0),
-                prefetch_hits: AtomicU64::new(0),
-                prefetch_wasted: AtomicU64::new(0),
-            }),
-            prefetcher: Mutex::new(None),
-            flusher: Mutex::new(None),
-        }
-    }
-
-    /// The underlying pager.
-    pub fn pager(&self) -> &Arc<dyn Pager> {
-        &self.core.pager
-    }
-
-    /// Maximum resident pages.
-    pub fn capacity(&self) -> usize {
-        self.core.capacity
-    }
-
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.core.shards.len()
-    }
-
-    /// Fetch a page, faulting it in if needed. The returned frame stays
-    /// pinned (ineligible for eviction) while the `Arc` is held.
-    pub fn get(&self, id: PageId) -> Result<Arc<RwLock<Frame>>> {
-        self.core.get(id)
-    }
-
-    /// Allocate a fresh page and return `(id, pinned frame)`. The frame is
-    /// created dirty so it reaches the pager even if never written again.
-    pub fn allocate(&self) -> Result<(PageId, Arc<RwLock<Frame>>)> {
-        let id = self.core.pager.allocate()?;
-        let frame = Arc::new(RwLock::new(Frame {
-            data: Box::new([0u8; PAGE_SIZE]),
-            dirty: true,
-        }));
-        let mut shard = self.core.shard_of(id).lock();
-        self.core.admit(&mut shard, id, frame.clone(), false)?;
-        Ok((id, frame))
-    }
-
-    // -- prefetch ----------------------------------------------------------
-
-    /// Start the readahead workers. Idempotent; off by default so the
-    /// deterministic physical-read counts stay exact for benchmarks.
-    pub fn enable_prefetch(&self) {
-        let mut slot = self.prefetcher.lock();
-        if slot.is_none() {
-            *slot = Some(Prefetcher::spawn(self.core.clone()));
-        }
-    }
-
-    /// Whether the readahead workers are running.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetcher.lock().is_some()
-    }
-
-    /// Queue a run of pages for background readahead. A no-op unless
-    /// [`BufferPool::enable_prefetch`] was called, so scan code can hint
-    /// unconditionally.
-    pub fn prefetch_hint(&self, run: &[PageId]) {
-        if let Some(p) = self.prefetcher.lock().as_ref() {
-            p.hint(run);
-        }
-    }
-
-    /// Block until every queued prefetch hint has been processed.
-    pub fn prefetch_quiesce(&self) {
-        if let Some(p) = self.prefetcher.lock().as_ref() {
-            p.quiesce();
-        }
-    }
-
-    // -- background writeback ----------------------------------------------
-
-    /// Start the background flusher thread. Idempotent; off by default so
-    /// explicit-flush write counts stay deterministic.
-    pub fn enable_writeback(&self) {
-        let mut slot = self.flusher.lock();
-        if slot.is_some() {
-            return;
-        }
-        let shared = Arc::new(FlusherShared {
-            state: Mutex::new(FlusherState::default()),
-            cond: Condvar::new(),
-        });
-        let core = self.core.clone();
-        let worker = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("pool-flusher".into())
-            .spawn(move || loop {
-                {
-                    let mut st = worker.state.lock();
-                    loop {
-                        if st.shutdown {
-                            return;
-                        }
-                        if !st.paused {
-                            break;
-                        }
-                        worker.cond.wait(&mut st);
-                    }
-                    st.busy = true;
-                }
-                // Trickle a bounded batch; errors are swallowed — the
-                // foreground hits the same pager error synchronously on
-                // its own flush/evict path, where it can be reported.
-                let _ = core.writeback_round(FLUSH_BUDGET);
-                let mut st = worker.state.lock();
-                st.busy = false;
-                worker.cond.notify_all();
-                if !st.shutdown {
-                    worker.cond.wait_for(&mut st, FLUSH_INTERVAL);
-                }
-                if st.shutdown {
-                    return;
-                }
-            })
-            .expect("spawn pool-flusher thread"); // lint:allow(thread spawn fails only on resource exhaustion)
-        *slot = Some(Flusher {
-            shared,
-            handle: Some(handle),
-        });
-    }
-
-    /// Whether the background flusher is running (and not quiesced).
-    pub fn writeback_enabled(&self) -> bool {
-        self.flusher.lock().is_some()
-    }
-
-    /// Run one writeback round synchronously on the caller's thread —
-    /// deterministic test/bench hook that works with or without the
-    /// background thread.
-    pub fn writeback_sync(&self) -> Result<usize> {
-        self.core.writeback_round(usize::MAX)
-    }
-
-    /// Pause the flusher and wait until it is out of its current round:
-    /// on return the background thread is guaranteed not to touch the
-    /// pager until [`BufferPool::resume_writeback`].
-    pub fn quiesce_writeback(&self) {
-        if let Some(f) = self.flusher.lock().as_ref() {
-            let mut st = f.shared.state.lock();
-            st.paused = true;
-            f.shared.cond.notify_all();
-            while st.busy {
-                f.shared.cond.wait(&mut st);
-            }
-        }
-    }
-
-    /// Let a quiesced flusher trickle again.
-    pub fn resume_writeback(&self) {
-        if let Some(f) = self.flusher.lock().as_ref() {
-            f.shared.state.lock().paused = false;
-            f.shared.cond.notify_all();
-        }
-    }
-
     // -- flush & stats -----------------------------------------------------
 
     /// Write back every dirty page and drop the whole cache. Emulates the
     /// paper's cache-invalidation protocol between benchmark runs.
     pub fn flush_all(&self) -> Result<()> {
-        for shard in &self.core.shards {
+        for shard in &self.shards {
             let mut shard = shard.lock();
             for slot in shard.slots.drain(..).flatten() {
-                if slot.prefetched {
-                    self.core.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-                }
                 let mut guard = slot.frame.write();
                 if guard.dirty {
-                    self.core.physical_writes.fetch_add(1, Ordering::Relaxed);
-                    self.core.writes_checkpoint.fetch_add(1, Ordering::Relaxed);
+                    self.physical_writes.fetch_add(1, Ordering::Relaxed);
+                    self.writes_checkpoint.fetch_add(1, Ordering::Relaxed);
                     // lint:allow(checkpoint flush writes through the catalog's WAL-aware
                     // pager; the frame lock keeps the image stable while it is written)
-                    self.core.pager.write_page(slot.id, &guard.data[..])?;
+                    self.pager.write_page(slot.id, &guard.data[..])?;
                     guard.dirty = false;
                 }
             }
@@ -593,16 +306,16 @@ impl BufferPool {
     /// after this call plus [`Pager::commit`] the transaction is replayable
     /// without paying `flush_all`'s cold-cache penalty.
     pub fn flush_dirty(&self) -> Result<()> {
-        for shard in &self.core.shards {
+        for shard in &self.shards {
             let shard = shard.lock();
             for slot in shard.slots.iter().flatten() {
                 let mut guard = slot.frame.write();
                 if guard.dirty {
-                    self.core.physical_writes.fetch_add(1, Ordering::Relaxed);
-                    self.core.writes_checkpoint.fetch_add(1, Ordering::Relaxed);
+                    self.physical_writes.fetch_add(1, Ordering::Relaxed);
+                    self.writes_checkpoint.fetch_add(1, Ordering::Relaxed);
                     // lint:allow(checkpoint flush writes through the catalog's WAL-aware
                     // pager; the frame lock keeps the image stable while it is written)
-                    self.core.pager.write_page(slot.id, &guard.data[..])?;
+                    self.pager.write_page(slot.id, &guard.data[..])?;
                     guard.dirty = false;
                 }
             }
@@ -613,57 +326,29 @@ impl BufferPool {
     /// Current counter values, including the underlying pager's checksum
     /// verification counters.
     pub fn stats(&self) -> IoStats {
-        let (checksum_verifications, checksum_failures) = self.core.pager.checksum_stats();
+        let (checksum_verifications, checksum_failures) = self.pager.checksum_stats();
         IoStats {
-            logical_reads: self.core.logical_reads.load(Ordering::Relaxed),
-            physical_reads: self.core.physical_reads.load(Ordering::Relaxed),
-            physical_writes: self.core.physical_writes.load(Ordering::Relaxed),
-            evictions: self.core.evictions.load(Ordering::Relaxed),
-            writes_evict: self.core.writes_evict.load(Ordering::Relaxed),
-            writes_checkpoint: self.core.writes_checkpoint.load(Ordering::Relaxed),
-            writes_writeback: self.core.writes_writeback.load(Ordering::Relaxed),
-            prefetch_issued: self.core.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_hits: self.core.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.core.prefetch_wasted.load(Ordering::Relaxed),
+            logical_reads: self.logical_reads.load(Ordering::Relaxed),
+            physical_reads: self.physical_reads.load(Ordering::Relaxed),
+            physical_writes: self.physical_writes.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            writes_evict: self.writes_evict.load(Ordering::Relaxed),
+            writes_checkpoint: self.writes_checkpoint.load(Ordering::Relaxed),
             checksum_verifications,
             checksum_failures,
+            ..IoStats::default()
         }
     }
 
     /// Zero the counters (the pager's checksum counters included).
     pub fn reset_stats(&self) {
-        self.core.logical_reads.store(0, Ordering::Relaxed);
-        self.core.physical_reads.store(0, Ordering::Relaxed);
-        self.core.physical_writes.store(0, Ordering::Relaxed);
-        self.core.evictions.store(0, Ordering::Relaxed);
-        self.core.writes_evict.store(0, Ordering::Relaxed);
-        self.core.writes_checkpoint.store(0, Ordering::Relaxed);
-        self.core.writes_writeback.store(0, Ordering::Relaxed);
-        self.core.prefetch_issued.store(0, Ordering::Relaxed);
-        self.core.prefetch_hits.store(0, Ordering::Relaxed);
-        self.core.prefetch_wasted.store(0, Ordering::Relaxed);
-        self.core.pager.reset_checksum_stats();
-    }
-}
-
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        // Stop both background services before the core can go away:
-        // the prefetcher drains its queue flag-first, and the flusher is
-        // woken, told to shut down, and joined.
-        if let Some(p) = self.prefetcher.lock().take() {
-            p.shutdown();
-        }
-        if let Some(mut f) = self.flusher.lock().take() {
-            {
-                let mut st = f.shared.state.lock();
-                st.shutdown = true;
-                f.shared.cond.notify_all();
-            }
-            if let Some(h) = f.handle.take() {
-                let _ = h.join(); // lint:allow(joining at drop; the flusher swallows its own errors)
-            }
-        }
+        self.logical_reads.store(0, Ordering::Relaxed);
+        self.physical_reads.store(0, Ordering::Relaxed);
+        self.physical_writes.store(0, Ordering::Relaxed);
+        self.evictions.store(0, Ordering::Relaxed);
+        self.writes_evict.store(0, Ordering::Relaxed);
+        self.writes_checkpoint.store(0, Ordering::Relaxed);
+        self.pager.reset_checksum_stats();
     }
 }
 
@@ -771,7 +456,7 @@ mod tests {
             let (_, f) = p.allocate().unwrap();
             drop(f);
         }
-        let resident: usize = p.core.shards.iter().map(|s| s.lock().map.len()).sum();
+        let resident: usize = p.shards.iter().map(|s| s.lock().map.len()).sum();
         assert!(resident <= p.capacity(), "{resident} resident > capacity");
     }
 
@@ -798,7 +483,7 @@ mod tests {
         assert!(s.writes_checkpoint > 0);
         assert_eq!(
             s.physical_writes,
-            s.writes_evict + s.writes_checkpoint + s.writes_writeback,
+            s.writes_evict + s.writes_checkpoint,
             "the write-back causes partition total write-backs"
         );
     }
@@ -824,120 +509,5 @@ mod tests {
         drop(f);
         p.flush_dirty().unwrap();
         assert_eq!(p.stats().physical_writes, 0);
-    }
-
-    #[test]
-    fn prefetched_pages_hit_without_physical_read() {
-        let p = pool(16);
-        let mut ids = Vec::new();
-        for _ in 0..8 {
-            let (id, f) = p.allocate().unwrap();
-            drop(f);
-            ids.push(id);
-        }
-        p.flush_all().unwrap();
-        p.reset_stats();
-        p.enable_prefetch();
-        p.prefetch_hint(&ids);
-        p.prefetch_quiesce();
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 8, "every hinted page was read ahead");
-        assert_eq!(s.physical_reads, 8, "prefetch reads count as physical");
-        for &id in &ids {
-            p.get(id).unwrap();
-        }
-        let s = p.stats();
-        assert_eq!(s.prefetch_hits, 8);
-        assert_eq!(s.physical_reads, 8, "foreground faulted nothing");
-        assert_eq!(s.prefetch_wasted, 0);
-    }
-
-    #[test]
-    fn unused_prefetched_pages_count_as_waste() {
-        let p = pool(16);
-        let (id, f) = p.allocate().unwrap();
-        drop(f);
-        p.flush_all().unwrap();
-        p.reset_stats();
-        p.enable_prefetch();
-        p.prefetch_hint(&[id]);
-        p.prefetch_quiesce();
-        p.flush_all().unwrap();
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 1);
-        assert_eq!(s.prefetch_hits, 0);
-        assert_eq!(s.prefetch_wasted, 1, "dropped without a hit = waste");
-    }
-
-    #[test]
-    fn prefetch_hint_skips_resident_pages() {
-        let p = pool(16);
-        let (id, f) = p.allocate().unwrap();
-        drop(f);
-        p.reset_stats();
-        p.enable_prefetch();
-        p.prefetch_hint(&[id]); // already resident
-        p.prefetch_quiesce();
-        let s = p.stats();
-        assert_eq!(s.prefetch_issued, 0, "resident page not re-read");
-        assert_eq!(s.physical_reads, 0);
-    }
-
-    #[test]
-    fn writeback_sync_cleans_dirty_frames_in_place() {
-        let p = pool(8);
-        let (id, f) = p.allocate().unwrap();
-        f.write().data[0] = 0xAB;
-        drop(f);
-        let cleaned = p.writeback_sync().unwrap();
-        assert!(cleaned >= 1);
-        let s = p.stats();
-        assert_eq!(s.writes_writeback as usize, cleaned);
-        assert_eq!(s.physical_writes as usize, cleaned);
-        // The frame stayed resident and clean: a flush now writes nothing.
-        p.flush_dirty().unwrap();
-        assert_eq!(p.stats().writes_checkpoint, 0);
-        let f = p.get(id).unwrap();
-        assert_eq!(f.read().data[0], 0xAB);
-        assert_eq!(s.evictions, 0, "writeback evicts nothing");
-    }
-
-    #[test]
-    fn background_writeback_trickles_and_quiesces() {
-        let p = pool(64);
-        p.enable_writeback();
-        for _ in 0..32 {
-            let (_, f) = p.allocate().unwrap();
-            f.write().data[0] = 1;
-            drop(f);
-        }
-        // The trickle eventually cleans everything without eviction help.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let s = p.stats();
-            if s.writes_writeback >= 1 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "flusher never wrote anything: {s:?}"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Quiesce: after this returns the flusher must not write.
-        p.quiesce_writeback();
-        let frozen = p.stats().writes_writeback;
-        for _ in 0..16 {
-            let (_, f) = p.allocate().unwrap();
-            f.write().data[0] = 2;
-            drop(f);
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(
-            p.stats().writes_writeback,
-            frozen,
-            "quiesced flusher wrote pages"
-        );
-        p.resume_writeback();
     }
 }

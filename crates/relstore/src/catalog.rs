@@ -96,8 +96,7 @@ impl Database {
     /// pager persists pages (file-backed, WAL-backed, fault-injected, ...).
     /// Fresh stores (zero pages) get a catalog heap anchored at page 0;
     /// existing stores reload every table from it. The pool is taken as
-    /// configured: prefetch and writeback are on only if the caller called
-    /// [`BufferPool::enable_prefetch`] / [`BufferPool::enable_writeback`].
+    /// given; it does all its I/O on the caller's thread.
     pub fn open_pool(pool: Arc<BufferPool>) -> Result<Self> {
         let fresh = pool.pager().num_pages() == 0;
         if fresh {
@@ -416,11 +415,11 @@ const SNAPSHOT_POOL_PAGES: usize = 512;
 ///
 /// Derefs to [`Database`], so every read API — `table(..)`, scans, index
 /// range queries, the executor — works unchanged, resolved against the
-/// pinned commit. The snapshot owns a private buffer pool; the live pool's
-/// frames, background writeback and prefetch never leak newer images into
-/// it. Mutating through a snapshot is a contract violation: writes land in
-/// cache but fail with [`StoreError::Io`] the moment they reach the frozen
-/// pager (commit on a snapshot is a no-op, since it is non-transactional).
+/// pinned commit. The snapshot owns a private buffer pool, so the live
+/// pool's frames never leak newer images into it. Mutating through a
+/// snapshot is a contract violation: writes land in cache but fail with
+/// [`StoreError::Io`] the moment they reach the frozen pager (commit on a
+/// snapshot is a no-op, since it is non-transactional).
 ///
 /// Dropping the snapshot releases the WAL pin, letting the writer reclaim
 /// the retained page versions.

@@ -340,8 +340,14 @@ impl SortMergeJoin {
             }
             v
         };
-        let mut left = collect(left);
+        // An empty right input joins to nothing, so the left one is never
+        // read: a fully pruned scan on the right costs no left scan.
         let mut right = collect(right);
+        let mut left = if right.is_empty() {
+            Vec::new()
+        } else {
+            collect(left)
+        };
         if let Some(e) = err {
             return SortMergeJoin {
                 output: Vec::new().into_iter(),
@@ -704,6 +710,15 @@ mod tests {
         let right = vec![vec![Value::Null], vec![Value::Int(1)]];
         let j = SortMergeJoin::new(boxed(left), boxed(right), 0, 0);
         assert_eq!(collect_rows(j).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn sort_merge_join_with_empty_right_never_pulls_left() {
+        let left: Executor = Box::new(std::iter::from_fn(|| -> Option<RowResult> {
+            panic!("left input pulled")
+        }));
+        let j = SortMergeJoin::new(left, boxed(Vec::new()), 0, 0);
+        assert!(collect_rows(j).unwrap().is_empty());
     }
 
     #[test]

@@ -33,16 +33,16 @@
 //! **Concurrency contract.** One [`Failpoints`] schedule is shared (via
 //! `Arc`) by every wrapped device and consulted under a single internal
 //! mutex, so the write/sync counters order operations **globally across
-//! threads**: background WAL writers, pool flushers, and prefetch workers
-//! hit the same armed positions as foreground I/O — counters are
-//! per-machine, never per-thread. Each device additionally holds its own
-//! state lock across the schedule consult *and* the resulting side effect
-//! (lock order: device → schedule, never the reverse), so a crash
-//! decision and its torn-write fallout are atomic with respect to
-//! concurrent operations on that device. Reads are deliberately not
-//! counted — only mutations and fsyncs advance the schedule — so
-//! read-only background work (prefetch) can never shift a seeded crash
-//! position.
+//! threads** — counters are per-machine, never per-thread. The engine
+//! has no background I/O thread (no log writer, pool flusher or readahead
+//! worker): every write and fsync happens on the thread that asked for
+//! it. Each device additionally holds its own state lock across the
+//! schedule consult *and* the resulting side effect (lock order: device →
+//! schedule, never the reverse), so a crash decision and its torn-write
+//! fallout are atomic with respect to concurrent operations on that
+//! device. Reads are deliberately not counted — only mutations and fsyncs
+//! advance the schedule — so concurrent readers can never shift a seeded
+//! crash position.
 
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;

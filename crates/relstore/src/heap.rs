@@ -330,13 +330,6 @@ impl HeapCursor {
             })
             .collect();
         self.next_page = page.next_page();
-        // Chained pages only reveal their successor one link at a time, so
-        // the deepest readahead a heap walk can get is one page: hint the
-        // successor while this page's records drain from the batch.
-        // (Free when prefetch is off — the hint gate is a single lock.)
-        if let Some(next) = self.next_page {
-            self.pool.prefetch_hint(&[next]);
-        }
         self.batch = recs.into_iter();
         Ok(())
     }
@@ -375,19 +368,6 @@ impl HeapReader {
         let guard = frame.read();
         let page = PageView::new(&guard.data[..]);
         Ok(page.get(rid.slot as usize).map(|r| r.to_vec()))
-    }
-
-    /// Hint the pool's readahead at the distinct pages a batch of record
-    /// fetches is about to touch (index scans know their rids in advance).
-    /// No-op when prefetch is disabled.
-    pub fn prefetch_pages(&self, pages: &[PageId]) {
-        self.pool.prefetch_hint(pages);
-    }
-
-    /// Whether the pool's readahead workers are running (index scans use
-    /// this to decide whether buffering a handle lookahead is worthwhile).
-    pub fn prefetch_enabled(&self) -> bool {
-        self.pool.prefetch_enabled()
     }
 }
 

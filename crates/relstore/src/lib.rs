@@ -38,7 +38,6 @@ pub mod heap;
 pub mod page;
 pub mod pager;
 pub mod planner;
-pub mod prefetch;
 pub mod table;
 pub mod value;
 pub mod wal;

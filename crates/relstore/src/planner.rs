@@ -12,8 +12,7 @@
 //!   [`STATS_TABLE`] (the `sqlite_stat1` trick: stats ride the same
 //!   catalog, WAL and MVCC snapshots as the data they describe, so a
 //!   pinned snapshot plans against the stats frozen at pin time).
-//! * **Cost formulas** — sequential pages are cheap (and cheaper still
-//!   with the PR 6 prefetcher overlapping the run), random page fetches
+//! * **Cost formulas** — sequential pages are cheap, random page fetches
 //!   through a secondary index cost [`RANDOM_PAGE_COST`]× more, clustered
 //!   ranges read only the covered fraction of the primary tree.
 //! * **Selectivity** — segment bounds resolve against the per-segment row
@@ -62,11 +61,6 @@ pub const SEQ_PAGE_COST: f64 = 1.0;
 
 /// Cost of one randomly-fetched page (secondary-index row fetch).
 pub const RANDOM_PAGE_COST: f64 = 4.0;
-
-/// Multiplier applied to sequential runs when the buffer pool's
-/// prefetcher is on: PR 6 measured cold dense scans roughly overlapping
-/// 40 % of page latency with readahead.
-pub const PREFETCH_RUN_DISCOUNT: f64 = 0.6;
 
 /// Per-row CPU cost (decode + predicate check) in page-cost units.
 pub const CPU_ROW_COST: f64 = 0.01;
@@ -477,8 +471,6 @@ pub struct TableProfile {
     /// Base-storage pages (heap chain or clustered-tree pages, indexes
     /// excluded — a sequential scan never touches them).
     pub base_pages: f64,
-    /// Whether the buffer pool's prefetcher overlaps sequential runs.
-    pub prefetch: bool,
     /// Per-segment statistics, empty for non-H-tables (or before the
     /// first archive populated them).
     pub segs: Vec<SegStat>,
@@ -503,27 +495,17 @@ impl TableProfile {
             name: table.name().to_string(),
             rows,
             base_pages: base_pages.max(1.0),
-            prefetch: table.prefetch_enabled(),
             segs,
         }
     }
 
     /// Profile without statistics (tests, stats-free tables).
-    pub fn bare(name: &str, rows: u64, base_pages: u64, prefetch: bool) -> TableProfile {
+    pub fn bare(name: &str, rows: u64, base_pages: u64) -> TableProfile {
         TableProfile {
             name: name.to_string(),
             rows: rows as f64,
             base_pages: (base_pages as f64).max(1.0),
-            prefetch,
             segs: Vec::new(),
-        }
-    }
-
-    fn seq_discount(&self) -> f64 {
-        if self.prefetch {
-            PREFETCH_RUN_DISCOUNT
-        } else {
-            1.0
         }
     }
 }
@@ -773,19 +755,16 @@ fn date_bound(b: &Bound<Value>) -> Option<Option<Date>> {
 
 /// Cost of a sequential scan.
 pub fn seq_cost(profile: &TableProfile) -> f64 {
-    profile.base_pages * SEQ_PAGE_COST * profile.seq_discount() + profile.rows * CPU_ROW_COST
+    profile.base_pages * SEQ_PAGE_COST + profile.rows * CPU_ROW_COST
 }
 
 /// Cost of one candidate path given its selectivity.
 fn candidate_cost(profile: &TableProfile, cand: &ScanCandidate, sel: f64) -> (f64, f64, f64) {
     let est_rows = sel * profile.rows;
     match cand.kind {
-        PathKind::Seq => {
-            let pages = profile.base_pages * profile.seq_discount();
-            (seq_cost(profile), profile.rows, pages)
-        }
+        PathKind::Seq => (seq_cost(profile), profile.rows, profile.base_pages),
         PathKind::Cluster => {
-            let pages = (sel * profile.base_pages).ceil() * profile.seq_discount();
+            let pages = (sel * profile.base_pages).ceil();
             let cost = BTREE_DESCENT_COST + pages * SEQ_PAGE_COST + est_rows * CPU_ROW_COST;
             (cost, est_rows, pages + BTREE_DESCENT_COST)
         }
@@ -793,17 +772,16 @@ fn candidate_cost(profile: &TableProfile, cand: &ScanCandidate, sel: f64) -> (f6
             let leaf_pages = (est_rows / INDEX_ENTRIES_PER_LEAF).ceil();
             // Archived segments are written contiguously at archival time
             // (the paper's §6 segment clustering), so a `segno` range that
-            // stays below the live segment walks sequential runs the
-            // prefetcher can overlap — price it like a clustered range
-            // (a segment is sorted by id, so binding the id as well only
-            // shortens the run). The live segment is mutation churn and
-            // gets no such break.
+            // stays below the live segment walks sequential runs — price
+            // it like a clustered range (a segment is sorted by id, so
+            // binding the id as well only shortens the run). The live
+            // segment is mutation churn and gets no such break.
             let archived_run = !profile.segs.is_empty()
                 && cand.bounds.first().is_some_and(|b| {
                     b.column == "segno" && !int_in_bounds(LIVE_SEGNO, &b.lo, &b.hi)
                 });
             if archived_run {
-                let pages = (sel * profile.base_pages).ceil() * profile.seq_discount();
+                let pages = (sel * profile.base_pages).ceil();
                 let cost = BTREE_DESCENT_COST
                     + (leaf_pages + pages) * SEQ_PAGE_COST
                     + est_rows * CPU_ROW_COST;
@@ -862,10 +840,7 @@ pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choi
     let cand = winner.map(|i| &candidates[i]);
     let sel = cand.map_or(1.0, |c| selectivity(profile, c));
     let (cost, est_rows, est_pages) = match cand {
-        None => {
-            let pages = profile.base_pages * profile.seq_discount();
-            (seq_cost(profile), profile.rows, pages)
-        }
+        None => (seq_cost(profile), profile.rows, profile.base_pages),
         Some(c) => candidate_cost(profile, c, sel),
     };
     let entry = PlanEntry {
@@ -958,7 +933,6 @@ mod tests {
             name: "t".into(),
             rows: 10_000.0,
             base_pages: 200.0,
-            prefetch: false,
             segs: (1..=10)
                 .map(|sn| SegStat::compute("t", sn, &rows))
                 .collect(),
@@ -1018,7 +992,7 @@ mod tests {
     fn cost_model_prefers_seq_for_unselective_index() {
         let _g = FORCE_LOCK.lock();
         reset_force();
-        let profile = TableProfile::bare("t", 100_000, 1_600, false);
+        let profile = TableProfile::bare("t", 100_000, 1_600);
         let cand = index_cand(
             "by_id",
             vec![bound(
@@ -1036,7 +1010,7 @@ mod tests {
     fn cost_model_prefers_index_for_narrow_eq() {
         let _g = FORCE_LOCK.lock();
         reset_force();
-        let profile = TableProfile::bare("t", 100_000, 1_600, false);
+        let profile = TableProfile::bare("t", 100_000, 1_600);
         let cand = index_cand(
             "by_id",
             vec![bound(
@@ -1161,7 +1135,7 @@ mod tests {
         reset_force();
         // A small key table: eleven pages, no statistics. The probe must
         // win over reading all of it.
-        let profile = TableProfile::bare("employee_id", 1_148, 11, false);
+        let profile = TableProfile::bare("employee_id", 1_148, 11);
         let cand = index_cand("employee_id_by_id", vec![eq_bound("id", 100_104)]);
         let choice = take_choice(&profile, std::slice::from_ref(&cand));
         assert_eq!(choice.kind, PathKind::Index);
@@ -1171,7 +1145,7 @@ mod tests {
     #[test]
     fn forced_paths_override_cost() {
         let _g = FORCE_LOCK.lock();
-        let profile = TableProfile::bare("t", 100_000, 1_600, false);
+        let profile = TableProfile::bare("t", 100_000, 1_600);
         let cand = index_cand(
             "by_id",
             vec![bound(
@@ -1215,7 +1189,7 @@ mod tests {
         let _g = FORCE_LOCK.lock();
         take_plan_log();
         reset_force();
-        let profile = TableProfile::bare("emp", 1000, 16, false);
+        let profile = TableProfile::bare("emp", 1000, 16);
         let _ = choose_path(&profile, &[]);
         let log = take_plan_log();
         assert_eq!(log.len(), 1);

@@ -15,10 +15,8 @@ use crate::btree::{BTree, RangeIter};
 use crate::buffer::BufferPool;
 use crate::catalog::StorageKind;
 use crate::heap::{HeapCursor, HeapFile, HeapReader, HeapTail, RecordId};
-use crate::page::PageId;
 use crate::value::{decode_row, encode_key, encode_row, Schema, Value};
 use crate::{Result, StoreError};
-use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -674,20 +672,12 @@ impl Table {
             },
             other => other,
         };
-        // Readahead: the index leaf chain this walk will visit is known
-        // from the segment directory/B+tree structure — hint it before the
-        // first leaf fault. (No-op when prefetch is off.)
-        idx.tree.prefetch_range(lo, hi);
         let entries = idx.tree.range(lo, hi)?;
         let fetch = match self.kind {
             StorageKind::Heap => RowFetcher::Heap(self.heap_store()?.reader()),
             StorageKind::Clustered => RowFetcher::Clustered(self.tree_store()?.clone_handle()),
         };
-        Ok(IndexRowStream {
-            entries,
-            fetch,
-            pending: VecDeque::new(),
-        })
+        Ok(IndexRowStream { entries, fetch })
     }
 
     /// Range scan over the *primary* clustered B+tree by a cluster-key
@@ -722,9 +712,6 @@ impl Table {
             Bound::Excluded(v) => Bound::Excluded(encode_key(v)),
             Bound::Unbounded => Bound::Unbounded,
         };
-        // Hint the exact leaf run this clustered walk will visit so the
-        // readahead workers stay ahead of the cursor. (No-op when off.)
-        tree.prefetch_range(as_bound_slice(&lo_k), as_bound_slice(&hi_k));
         let iter = tree.range(as_bound_slice(&lo_k), as_bound_slice(&hi_k))?;
         Ok(RowStream {
             inner: RowStreamInner::Clustered(iter),
@@ -1047,12 +1034,6 @@ impl Table {
             StorageKind::Clustered => self.tree_store()?.page_count(),
         }
     }
-
-    /// Whether the shared buffer pool's prefetcher is active (sequential
-    /// runs overlap their I/O; see the planner's cost discount).
-    pub fn prefetch_enabled(&self) -> bool {
-        self.pool.prefetch_enabled()
-    }
 }
 
 /// Streaming iterator over a table's rows (see [`Table::stream`] and
@@ -1091,56 +1072,11 @@ impl Iterator for RowStream {
 pub struct IndexRowStream {
     entries: RangeIter,
     fetch: RowFetcher,
-    /// Handle lookahead. With prefetch on and a heap-backed table, index
-    /// entries are pulled [`INDEX_LOOKAHEAD`] at a time so the distinct
-    /// heap pages behind the upcoming handles can be hinted to the
-    /// readahead workers before the row fetches arrive. With prefetch off
-    /// this holds at most one handle — I/O order is identical to the
-    /// unbuffered stream.
-    pending: VecDeque<Vec<u8>>,
 }
-
-/// Index entries buffered ahead of the row-fetch cursor when prefetch is
-/// on. 64 handles ≈ a leaf's worth: deep enough to batch heap pages,
-/// shallow enough that LIMIT-style early exits waste little.
-const INDEX_LOOKAHEAD: usize = 64;
 
 enum RowFetcher {
     Heap(HeapReader),
     Clustered(BTree),
-}
-
-impl IndexRowStream {
-    /// Refill the handle buffer; returns `false` when the index walk is
-    /// exhausted and nothing is buffered.
-    fn refill(&mut self) -> bool {
-        let depth = match &self.fetch {
-            RowFetcher::Heap(r) if r.prefetch_enabled() => INDEX_LOOKAHEAD,
-            _ => 1,
-        };
-        while self.pending.len() < depth {
-            match self.entries.next() {
-                Some((_, handle)) => self.pending.push_back(handle),
-                None => break,
-            }
-        }
-        if self.pending.is_empty() {
-            return false;
-        }
-        if depth > 1 {
-            if let RowFetcher::Heap(reader) = &self.fetch {
-                let mut pages: Vec<PageId> = self
-                    .pending
-                    .iter()
-                    .filter_map(|h| RecordId::from_bytes(h).ok())
-                    .map(|rid| rid.page)
-                    .collect();
-                pages.dedup(); // rids from one leaf mostly share pages
-                reader.prefetch_pages(&pages);
-            }
-        }
-        true
-    }
 }
 
 impl Iterator for IndexRowStream {
@@ -1148,10 +1084,7 @@ impl Iterator for IndexRowStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let Some(handle) = self.pending.pop_front() else {
-                if self.refill() {
-                    continue;
-                }
+            let Some((_, handle)) = self.entries.next() else {
                 // A corrupt index leaf parks an error instead of yielding;
                 // surface it so callers can fall back or report.
                 return self.entries.take_error().map(Err);

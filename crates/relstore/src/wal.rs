@@ -55,12 +55,11 @@
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
 use crate::{Result, StoreError};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Record kind: a full page image staged for the in-flight transaction.
@@ -611,22 +610,11 @@ pub struct WalConfig {
     /// commits (the last N-1 commits ride in the volatile tail until the
     /// batch fills or someone syncs).
     pub group_commit: usize,
-    /// Overlapped group commit: sealed batches are encoded, appended and
-    /// fsynced by a dedicated log-writer thread, so the fsync of batch N
-    /// overlaps formation of batch N+1. `commit` then returns once the
-    /// batch is *submitted*; durability is reached when the writer syncs
-    /// it ([`Pager::sync`] / checkpoint / drop still wait for full
-    /// durability). The durable log prefix is byte-identical to the
-    /// synchronous mode's — same records, same order, same batching.
-    pub pipeline: bool,
 }
 
 impl Default for WalConfig {
     fn default() -> Self {
-        WalConfig {
-            group_commit: 8,
-            pipeline: false,
-        }
+        WalConfig { group_commit: 8 }
     }
 }
 
@@ -635,199 +623,6 @@ impl WalConfig {
     pub fn with_group_commit(batch: usize) -> Self {
         WalConfig {
             group_commit: batch.max(1),
-            pipeline: false,
-        }
-    }
-
-    /// Like [`WalConfig::with_group_commit`] but with the overlapped
-    /// (pipelined) log writer enabled.
-    pub fn with_pipeline(batch: usize) -> Self {
-        WalConfig {
-            group_commit: batch.max(1),
-            pipeline: true,
-        }
-    }
-
-    /// Builder-style switch for the pipelined log writer.
-    pub fn pipelined(mut self, on: bool) -> Self {
-        self.pipeline = on;
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Overlapped (pipelined) group commit
-// ---------------------------------------------------------------------------
-
-/// How many sealed batches may be in flight between the foreground and the
-/// log-writer thread. Two is the classic double buffer: one batch being
-/// fsynced while the next one forms; a third submission blocks, bounding
-/// both memory and the durability window.
-const PIPE_DEPTH: usize = 2;
-
-/// One sealed group-commit batch, handed to the log-writer thread.
-/// Images are already deduped and sorted by page id, so the writer's
-/// append order is byte-identical to the synchronous path's.
-struct SealedBatch {
-    images: Vec<(PageId, Box<[u8; PAGE_SIZE]>)>,
-    committed_num_pages: u64,
-}
-
-struct PipeState {
-    queue: VecDeque<SealedBatch>,
-    /// Batches handed to the writer.
-    submitted: u64,
-    /// Batches fully appended + fsynced (or abandoned after an error —
-    /// counted so waiters never hang on a batch that can no longer sync).
-    synced: u64,
-    /// First error the writer hit, parked for the next foreground call.
-    error: Option<StoreError>,
-    shutdown: bool,
-}
-
-/// Shared state between the foreground and the log-writer thread.
-///
-/// Lock order: the WAL state mutex may be held while taking `state` here
-/// (submission happens under it); the writer thread takes **only** this
-/// mutex and never the WAL state mutex, so the pair cannot deadlock —
-/// `checkpoint` relies on exactly that to drain the pipe while holding
-/// the WAL state lock.
-struct Pipeline {
-    state: Mutex<PipeState>,
-    /// Signals both directions: work queued / shutdown (writer waits) and
-    /// batch synced / error parked (foreground waits).
-    cond: Condvar,
-    /// Writer-side counters, merged into [`WalStats`] by `wal_stats()`
-    /// (the writer cannot take the WAL state lock to bump them there).
-    syncs: AtomicU64,
-    page_records: AtomicU64,
-    handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl Pipeline {
-    fn spawn(log: Arc<dyn LogFile>) -> Arc<Pipeline> {
-        let pipe = Arc::new(Pipeline {
-            state: Mutex::new(PipeState {
-                queue: VecDeque::new(),
-                submitted: 0,
-                synced: 0,
-                error: None,
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            syncs: AtomicU64::new(0),
-            page_records: AtomicU64::new(0),
-            handle: Mutex::new(None),
-        });
-        let worker = pipe.clone();
-        let handle = std::thread::Builder::new()
-            .name("wal-writer".into())
-            .spawn(move || worker.run(log))
-            .expect("spawn wal-writer thread"); // lint:allow(thread spawn fails only on resource exhaustion at open time)
-        *pipe.handle.lock() = Some(handle);
-        pipe
-    }
-
-    /// Writer loop: pop a sealed batch, encode + append its records, fsync.
-    /// FIFO over a single thread keeps the log byte-identical to the
-    /// synchronous path. Errors are parked for the foreground; the batch
-    /// is still accounted as retired so waiters wake.
-    fn run(&self, log: Arc<dyn LogFile>) {
-        loop {
-            let batch = {
-                let mut st = self.state.lock();
-                loop {
-                    if let Some(b) = st.queue.pop_front() {
-                        break b;
-                    }
-                    if st.shutdown {
-                        return;
-                    }
-                    self.cond.wait(&mut st);
-                }
-            };
-            let mut err: Option<StoreError> = None;
-            for (id, img) in &batch.images {
-                if let Err(e) = log.append(&encode_record(WAL_REC_PAGE, *id, &img[..])) {
-                    err = Some(e);
-                    break;
-                }
-                self.page_records.fetch_add(1, Ordering::Relaxed);
-            }
-            if err.is_none() {
-                err = log
-                    .append(&encode_record(
-                        WAL_REC_COMMIT,
-                        batch.committed_num_pages,
-                        &[],
-                    ))
-                    .err();
-            }
-            if err.is_none() {
-                match log.sync() {
-                    Ok(()) => {
-                        self.syncs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => err = Some(e),
-                }
-            }
-            let mut st = self.state.lock();
-            if let Some(e) = err {
-                if st.error.is_none() {
-                    st.error = Some(e);
-                }
-            }
-            // Retired either way — a failed batch will never sync, and the
-            // parked error tells the foreground why.
-            st.synced += 1;
-            self.cond.notify_all();
-        }
-    }
-
-    /// Hand a sealed batch to the writer, blocking while the pipe is full
-    /// (double-buffer backpressure). Surfaces any parked writer error.
-    fn submit(&self, batch: SealedBatch) -> Result<()> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(e) = st.error.take() {
-                return Err(e);
-            }
-            if st.queue.len() < PIPE_DEPTH {
-                break;
-            }
-            self.cond.wait(&mut st);
-        }
-        st.queue.push_back(batch);
-        st.submitted += 1;
-        self.cond.notify_all();
-        Ok(())
-    }
-
-    /// Block until every submitted batch has been fsynced (the commit-LSN
-    /// wait). Surfaces any parked writer error.
-    fn wait_durable(&self) -> Result<()> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(e) = st.error.take() {
-                return Err(e);
-            }
-            if st.synced >= st.submitted {
-                return Ok(());
-            }
-            self.cond.wait(&mut st);
-        }
-    }
-
-    /// Stop and join the writer thread (drains nothing — call
-    /// [`Pipeline::wait_durable`] first for a clean shutdown).
-    fn shutdown(&self) {
-        {
-            let mut st = self.state.lock();
-            st.shutdown = true;
-            self.cond.notify_all();
-        }
-        if let Some(h) = self.handle.lock().take() {
-            let _ = h.join(); // lint:allow(joining at shutdown; a panicked writer already parked its story)
         }
     }
 }
@@ -896,8 +691,6 @@ pub struct WalPager {
     cfg: WalConfig,
     state: Mutex<WalState>,
     recovery: RecoveryInfo,
-    /// Present iff [`WalConfig::pipeline`]: the overlapped log writer.
-    pipe: Option<Arc<Pipeline>>,
 }
 
 impl WalPager {
@@ -959,11 +752,6 @@ impl WalPager {
         info.bytes_discarded = (bytes.len() - pos) as u64;
         info.records_discarded = staged.len() as u64;
 
-        let pipe = if cfg.pipeline {
-            Some(Pipeline::spawn(log.clone()))
-        } else {
-            None
-        };
         let pager = WalPager {
             base,
             log,
@@ -982,7 +770,6 @@ impl WalPager {
                 stats: WalStats::default(),
             }),
             recovery: info,
-            pipe,
         };
         // A dirty recovery tail must not stay in the log. Appends go
         // after the rejected bytes, so a torn or corrupt record would
@@ -1008,26 +795,9 @@ impl WalPager {
         self.recovery
     }
 
-    /// Log-writer counters since open. With the pipeline enabled the
-    /// append/fsync counters live on the writer thread; merge them in.
+    /// Log-writer counters since open.
     pub fn wal_stats(&self) -> WalStats {
-        let mut stats = self.state.lock().stats;
-        if let Some(pipe) = &self.pipe {
-            stats.page_records += pipe.page_records.load(Ordering::Relaxed);
-            stats.syncs += pipe.syncs.load(Ordering::Relaxed);
-        }
-        stats
-    }
-
-    /// Block until every batch submitted to the pipelined writer has been
-    /// appended and fsynced. No-op in synchronous mode (commit already
-    /// waited). Public so tests and benches can draw a durability line
-    /// without forcing a checkpoint.
-    pub fn wait_durable(&self) -> Result<()> {
-        match &self.pipe {
-            Some(pipe) => pipe.wait_durable(),
-            None => Ok(()),
-        }
+        self.state.lock().stats
     }
 
     /// Current log length in bytes (grows until the next checkpoint).
@@ -1085,37 +855,21 @@ impl WalPager {
     /// Flush the sealed batch — deduped page images in page order, then
     /// one commit record, then fsync. No-op when nothing has committed
     /// since the last flush.
-    ///
-    /// Synchronous mode does all three stages inline; pipelined mode hands
-    /// the sealed batch to the log-writer thread and returns as soon as it
-    /// is *submitted* — formation of the next batch overlaps the fsync.
-    /// Either way the record bytes and their order are identical.
     fn flush_batch(&self, st: &mut WalState) -> Result<()> {
         if st.pending_commits == 0 {
             return Ok(());
         }
         let mut ids: Vec<PageId> = st.batch.keys().copied().collect();
         ids.sort_unstable();
-        if let Some(pipe) = &self.pipe {
-            let images: Vec<(PageId, Box<[u8; PAGE_SIZE]>)> = ids
-                .into_iter()
-                .filter_map(|id| st.batch.remove(&id).map(|img| (id, img)))
-                .collect();
-            pipe.submit(SealedBatch {
-                images,
-                committed_num_pages: st.committed_num_pages,
-            })?;
-        } else {
-            for id in ids {
-                self.log
-                    .append(&encode_record(WAL_REC_PAGE, id, &st.batch[&id][..]))?;
-                st.stats.page_records += 1;
-            }
+        for id in ids {
             self.log
-                .append(&encode_record(WAL_REC_COMMIT, st.committed_num_pages, &[]))?;
-            self.log.sync()?;
-            st.stats.syncs += 1;
+                .append(&encode_record(WAL_REC_PAGE, id, &st.batch[&id][..]))?;
+            st.stats.page_records += 1;
         }
+        self.log
+            .append(&encode_record(WAL_REC_COMMIT, st.committed_num_pages, &[]))?;
+        self.log.sync()?;
+        st.stats.syncs += 1;
         st.batch.clear();
         st.pending_commits = 0;
         Ok(())
@@ -1188,13 +942,8 @@ impl Pager for WalPager {
     }
 
     fn sync(&self) -> Result<()> {
-        {
-            let st = &mut *self.state.lock();
-            self.flush_batch(st)?;
-        }
-        // Pipelined mode: flush only *submitted* the batch; sync's contract
-        // is durability, so wait for the writer's fsync.
-        self.wait_durable()
+        let st = &mut *self.state.lock();
+        self.flush_batch(st)
     }
 
     fn commit(&self) -> Result<()> {
@@ -1213,13 +962,6 @@ impl Pager for WalPager {
         // batch so the log is complete before the base file changes.
         Self::seal_commit(st);
         self.flush_batch(st)?;
-        // WAL ordering: every commit record must be durable in the log
-        // before the base file changes underneath it. The writer thread
-        // never takes the WAL state lock, so draining the pipe while
-        // holding it cannot deadlock.
-        if let Some(pipe) = &self.pipe {
-            pipe.wait_durable()?;
-        }
 
         let mut ids: Vec<PageId> = st.table.keys().copied().collect();
         ids.sort_unstable();
@@ -1312,11 +1054,6 @@ impl Pager for WalPager {
     fn pin_snapshot(&self) -> Result<Option<(u64, u64)>> {
         let st = &mut *self.state.lock();
         self.flush_batch(st)?;
-        // Pipelined mode: the flush only *submitted* the batch; wait for
-        // the writer thread's fsync. It takes only the pipe lock, never
-        // the WAL state lock, so waiting under the state lock is safe
-        // (same contract checkpoint relies on).
-        self.wait_durable()?;
         let lsn = st.commit_lsn;
         *st.pinned.entry(lsn).or_insert(0) += 1;
         Ok(Some((lsn, st.committed_num_pages)))
@@ -1402,19 +1139,10 @@ impl Drop for WalPager {
         // clean process exit never loses commits. Uncommitted images are
         // deliberately left behind. Errors are unreportable here; crash
         // tests exercise the failure path explicitly.
-        {
-            let st = &mut *self.state.lock();
-            // lint:allow(Drop cannot report errors; the crash-recovery tests
-            // exercise the failure path explicitly)
-            let _ = self.flush_batch(st);
-        }
-        if let Some(pipe) = &self.pipe {
-            // Drain in-flight batches, then stop and join the writer.
-            // lint:allow(Drop cannot report errors; a parked writer error was
-            // already surfaced to the last foreground commit or sync)
-            let _ = pipe.wait_durable();
-            pipe.shutdown();
-        }
+        let st = &mut *self.state.lock();
+        // lint:allow(Drop cannot report errors; the crash-recovery tests
+        // exercise the failure path explicitly)
+        let _ = self.flush_batch(st);
     }
 }
 
@@ -1736,86 +1464,6 @@ mod tests {
                 assert_eq!(got[k], crc32(&lanes[k]), "lane {k} of {lens:?}");
             }
         }
-    }
-
-    /// The pipelined writer must produce byte-identical log contents to the
-    /// synchronous path — same records, same order, same batch boundaries.
-    #[test]
-    fn pipelined_log_bytes_match_synchronous_mode() {
-        let run = |cfg: WalConfig| -> Vec<u8> {
-            let base = Arc::new(MemPager::new());
-            let log = Arc::new(MemLog::new());
-            {
-                let pager = WalPager::open(base, log.clone(), cfg).unwrap();
-                let a = pager.allocate().unwrap();
-                let b = pager.allocate().unwrap();
-                for i in 0..24u8 {
-                    pager.write_page(a, &[i; PAGE_SIZE]).unwrap();
-                    if i % 3 == 0 {
-                        pager.write_page(b, &[i ^ 0x55; PAGE_SIZE]).unwrap();
-                    }
-                    pager.commit().unwrap();
-                }
-                pager.sync().unwrap();
-            }
-            log.raw()
-        };
-        let sync_bytes = run(WalConfig::with_group_commit(4));
-        let pipe_bytes = run(WalConfig::with_pipeline(4));
-        assert_eq!(sync_bytes, pipe_bytes);
-    }
-
-    #[test]
-    fn pipelined_commits_survive_reopen() {
-        let base = Arc::new(MemPager::new());
-        let log = Arc::new(MemLog::new());
-        {
-            let pager =
-                WalPager::open(base.clone(), log.clone(), WalConfig::with_pipeline(8)).unwrap();
-            let id = pager.allocate().unwrap();
-            for i in 0..20u8 {
-                pager.write_page(id, &[i; PAGE_SIZE]).unwrap();
-                pager.commit().unwrap();
-            }
-            // Drop drains the pipe: the partial batch is flushed + fsynced.
-        }
-        let pager = WalPager::open(base, log, WalConfig::default()).unwrap();
-        assert_eq!(pager.num_pages(), 1);
-        let mut buf = [0u8; PAGE_SIZE];
-        pager.read_page(0, &mut buf).unwrap();
-        assert_eq!(buf[0], 19, "latest committed image replayed");
-    }
-
-    #[test]
-    fn pipelined_sync_waits_for_durability() {
-        let (_base, log, pager) = wal_over_mem(WalConfig::with_pipeline(100));
-        let id = pager.allocate().unwrap();
-        pager.write_page(id, &[2u8; PAGE_SIZE]).unwrap();
-        pager.commit().unwrap();
-        pager.sync().unwrap();
-        // After sync returns the fsync has happened — not merely been queued.
-        assert_eq!(log.sync_count(), 1);
-        assert_eq!(pager.wal_stats().syncs, 1);
-    }
-
-    #[test]
-    fn pipelined_checkpoint_preserves_wal_ordering() {
-        let base = Arc::new(MemPager::new());
-        let log = Arc::new(MemLog::new());
-        let pager = WalPager::open(base.clone(), log.clone(), WalConfig::with_pipeline(8)).unwrap();
-        let id = pager.allocate().unwrap();
-        for i in 0..10u8 {
-            pager.write_page(id, &[i; PAGE_SIZE]).unwrap();
-            pager.commit().unwrap();
-        }
-        pager.checkpoint().unwrap();
-        // The fold happened only after every in-flight batch was durable,
-        // then the log was truncated.
-        assert_eq!(log.len().unwrap(), 0);
-        assert_eq!(base.num_pages(), 1);
-        let mut buf = [0u8; PAGE_SIZE];
-        base.read_page(0, &mut buf).unwrap();
-        assert_eq!(buf[0], 9);
     }
 
     fn page_at(pager: &WalPager, id: PageId, lsn: u64) -> u8 {

@@ -537,6 +537,21 @@ impl P {
     fn parse_unary(&mut self) -> Result<SqlExpr> {
         if self.peek() == Some(&Tok::Minus) {
             self.pos += 1;
+            // Fold `-` into a numeric literal right after it, so `segno = -1`
+            // is a constant the planner can turn into an access-path bound.
+            // Lexed integers are never negative, so the negation cannot
+            // overflow.
+            match self.peek() {
+                Some(&Tok::Int(i)) => {
+                    self.pos += 1;
+                    return Ok(SqlExpr::Lit(Value::Int(-i)));
+                }
+                Some(&Tok::Dec(d)) => {
+                    self.pos += 1;
+                    return Ok(SqlExpr::Lit(Value::Double(-d)));
+                }
+                _ => {}
+            }
             let e = self.parse_unary()?;
             return Ok(SqlExpr::Un(UnOp::Neg, Box::new(e)));
         }
@@ -740,6 +755,17 @@ mod tests {
         assert_eq!(name, "title_history");
         assert!(matches!(&content[0], SqlExpr::XmlAgg(_)));
         assert!(stmt.items[0].expr.has_aggregate());
+    }
+
+    #[test]
+    fn minus_before_a_numeric_literal_folds_into_it() {
+        let stmt = parse_sql("select - 1, -1.5, - (1) from t").unwrap();
+        assert_eq!(stmt.items[0].expr, SqlExpr::Lit(Value::Int(-1)));
+        assert_eq!(stmt.items[1].expr, SqlExpr::Lit(Value::Double(-1.5)));
+        assert_eq!(
+            stmt.items[2].expr,
+            SqlExpr::Un(UnOp::Neg, Box::new(SqlExpr::Lit(Value::Int(1))))
+        );
     }
 
     #[test]

@@ -52,8 +52,9 @@ echo "== workspace test suite =="
 cargo test -q --workspace
 
 echo "== failpoints torture: relstore crash sweeps =="
-# Exhaustive crash-at-every-write / crash-at-every-fsync sweeps plus the
-# 200-seed random sweep with torn writes.
+# crash_torture.rs: exhaustive crash-at-every-write / crash-at-every-fsync
+# sweeps plus the 200-seed random sweep with torn writes, all on the one
+# synchronous WAL write path.
 cargo test -q -p relstore --features failpoints
 
 echo "== failpoints torture: 200-seed ArchIS archival crash runs =="

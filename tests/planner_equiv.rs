@@ -726,4 +726,11 @@ fn cost_based_plans_never_lose_on_the_adversarial_store() {
             "{label}: cost-based plan reads {cost} pages, the trap only {trap}"
         );
     }
+    // `segno = -1` names no segment, so it bounds the access path: the
+    // dead-era snapshot reads index descents, not the table.
+    let a1_cost = pages(&a1, None);
+    assert!(
+        a1_cost <= 10,
+        "A1 dead-era snapshot: cost-based plan reads {a1_cost} pages"
+    );
 }
