@@ -264,6 +264,20 @@ impl ArchIS {
         Ok(())
     }
 
+    /// [`ArchIS::txn_commit`], then flush the group-commit batch so the
+    /// commit is durable before the caller returns. Every commit that
+    /// changes tables or the segment catalog uses it: the translator reads
+    /// the *live* catalog while snapshots pin the last *durable* commit,
+    /// so a snapshot begun after such a call returns must already hold its
+    /// effects.
+    fn txn_commit_durable(&self) -> Result<()> {
+        self.txn_commit()?;
+        if self.db.is_transactional() {
+            self.db.pool().pager().sync()?;
+        }
+        Ok(())
+    }
+
     /// Abort the current archival transaction: a mutation failed after it
     /// may have dirtied buffered pages or bumped archiver counters, so the
     /// in-memory state no longer matches any committable boundary. Poisons
@@ -450,7 +464,7 @@ impl ArchIS {
             };
         self.relations.insert(spec.name.clone(), spec.clone());
         self.archivers.insert(spec.name.clone(), archiver);
-        self.txn_commit()?;
+        self.txn_commit_durable()?;
         Ok(())
     }
 
@@ -568,7 +582,7 @@ impl ArchIS {
     pub fn maybe_archive(&self, relation: &str, at: Date) -> Result<usize> {
         let archived = self.archiver(relation)?.maybe_archive(&self.db, at)?;
         if archived > 0 {
-            self.txn_commit()?;
+            self.txn_commit_durable()?;
         }
         Ok(archived)
     }
@@ -577,7 +591,7 @@ impl ArchIS {
     /// enabling compression or at end of load).
     pub fn force_archive(&self, relation: &str, at: Date) -> Result<usize> {
         let archived = self.archiver(relation)?.force_archive(&self.db, at)?;
-        self.txn_commit()?;
+        self.txn_commit_durable()?;
         Ok(archived)
     }
 
@@ -645,8 +659,15 @@ impl ArchIS {
         )?)
     }
 
-    /// Freeze a read-only [`ArchSnapshot`] at the WAL's current durable
+    /// Freeze a read-only [`ArchSnapshot`] at the WAL's last durable
     /// commit (requires a WAL-backed instance, e.g. [`ArchIS::open_file`]).
+    /// Pinning never forces the writer's group-commit batch out: ingest
+    /// commits still waiting in the batch are not visible (sync the pager
+    /// — `database().pool().pager().sync()` — to read your own writes),
+    /// while every commit that changes tables or segments (relation
+    /// creation, archival, compression, vacuum) is flushed before its call
+    /// returns, so the translator's live segment catalog never runs ahead
+    /// of a snapshot begun afterwards.
     ///
     /// The snapshot serves Q1–Q6-style temporal queries against exactly
     /// the H-table state as of that commit — a reader at snapshot `S` sees
@@ -671,7 +692,7 @@ impl ArchIS {
         // Compression moved the archived rows into blocks; refresh the
         // stats catalog so per-segment block counts are recorded.
         self.recompute_stats(relation)?;
-        self.txn_commit()?;
+        self.txn_commit_durable()?;
         Ok(blocks)
     }
 
@@ -729,7 +750,7 @@ impl ArchIS {
         // Vacuum rewrote the physical layout; rebuild the stats catalog
         // from the data so estimates stay exact.
         self.recompute_stats(relation)?;
-        self.txn_commit()?;
+        self.txn_commit_durable()?;
         Ok(())
     }
 
@@ -848,11 +869,12 @@ impl ArchIS {
 ///
 /// Translation ([`ArchIS::translate`]) uses the parent's in-memory
 /// relation specs and current segment metadata; ingest does not change
-/// either, so translated queries are exact under concurrent inserts /
-/// updates / deletes. A `maybe_archive` that lands *after* the pin may add
-/// segment restrictions referring to rows the snapshot cannot see — those
-/// predicates simply match nothing, which keeps results a function of the
-/// pinned state.
+/// either, and every commit that does is durable before it returns (see
+/// [`ArchIS::begin_snapshot`]), so translated queries are exact under
+/// concurrent inserts / updates / deletes. A `maybe_archive` that lands
+/// *after* the pin may add segment restrictions referring to rows the
+/// snapshot cannot see — those predicates simply match nothing, which
+/// keeps results a function of the pinned state.
 pub struct ArchSnapshot<'a> {
     archis: &'a ArchIS,
     snap: relstore::Snapshot,

@@ -15,7 +15,14 @@
 //!    become the `tstart`/`tend` columns in comparison contexts (as the
 //!    paper's own QUERY 2 translation shows); interval predicates
 //!    (`toverlaps`, ...) map to the registered SQL UDFs over
-//!    `(tstart, tend)` pairs;
+//!    `(tstart, tend)` pairs. `tmeets(a, b)` holds exactly when `a.tend`
+//!    is not *forever* and `b.tstart = a.tend + 1`, so beside every
+//!    `tmeets` over two period columns the translator also writes that
+//!    implied equality — `(tmeets(...) and b.tstart = a.tend + 1)` — which
+//!    the engine turns into a join key (Q6's adjacent-period join merges
+//!    on `(id, tend + 1) = (id, tstart)`). The UDF stays as the residual
+//!    check; an open period's `tend + 1` is 10000-01-01, which no
+//!    `tstart` equals;
 //! 5. **Output generation** — `XMLElement` / `XMLAttributes` / `XMLAgg`
 //!    (or plain scalars for aggregate-wrapped queries).
 //!
@@ -440,7 +447,15 @@ impl<'a> Translator<'a> {
             Expr::Call(name, args) if is_interval_pred(name) && args.len() == 2 => {
                 let a = self.interval_operand(ctx, ctx_var, &args[0])?;
                 let b = self.interval_operand(ctx, ctx_var, &args[1])?;
-                Ok(format!("{name}({}, {}, {}, {})", a.0, a.1, b.0, b.1))
+                let call = format!("{name}({}, {}, {}, {})", a.0, a.1, b.0, b.1);
+                // The implied adjacency equality (see the module doc);
+                // only between columns — a literal period is a filter.
+                let is_column = |sql: &str| !sql.starts_with('\'');
+                if name == "tmeets" && is_column(&a.1) && is_column(&b.0) {
+                    Ok(format!("({call} and {} = {} + 1)", b.0, a.1))
+                } else {
+                    Ok(call)
+                }
             }
             Expr::Call(name, args) if name == "empty" && args.len() == 1 => {
                 // `empty(overlapinterval($a,$b))` — no overlap.
@@ -1330,6 +1345,10 @@ mod tests {
                        return number($s2) - number($s1))"#;
         let sql = a.translate(q).unwrap();
         assert!(sql.contains("tmeets("), "{sql}");
+        assert!(
+            sql.contains("t3.tstart = t2.tend + 1"),
+            "implied equality: {sql}"
+        );
         let raise = a.execute_sql(&sql).unwrap().scalar_rows().unwrap()[0][0]
             .as_int()
             .unwrap();

@@ -263,9 +263,10 @@ impl Database {
 
     /// Freeze a read-only [`Snapshot`] of the last durable commit.
     ///
-    /// The WAL pager pins the current commit (forcing the pending
-    /// group-commit batch durable first, so the snapshot survives any
-    /// crash), and the snapshot gets its own private buffer pool over a
+    /// The WAL pager pins its last durable commit without any I/O (commits
+    /// still in the group-commit batch are not visible; `sync` the pager
+    /// first to read your own writes), and the snapshot gets its own
+    /// private buffer pool over a
     /// [`SnapshotPager`](crate::pager::SnapshotPager) — every read resolves
     /// page images as of the pinned commit, so the returned database serves
     /// a consistent catalog, table roots and data no matter what the live

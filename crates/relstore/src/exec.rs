@@ -4,16 +4,17 @@
 //! into left-deep plans. The SQL/XML engine (crate `sqlxml`) builds these;
 //! the paper's observation that the translated H-table queries "execute
 //! very fast (in linear time) since every table is already sorted on its
-//! `id` attribute" corresponds to [`SortMergeJoin`] here.
+//! `id` attribute" corresponds to [`SortMergeJoin`] here. Expressions
+//! arrive with their UDFs already bound, so operators evaluate them
+//! without a function registry.
 
-use crate::expr::{AggFunc, Expr, FnRegistry};
+use crate::expr::{AggFunc, Expr};
 use crate::table::Table;
 use crate::value::Value;
 use crate::{Result, StoreError};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// A materialized row.
 pub type Row = Vec<Value>;
@@ -91,13 +92,12 @@ impl Iterator for IndexRangeScan {
 pub struct Filter {
     input: Executor,
     pred: Expr,
-    fns: Arc<FnRegistry>,
 }
 
 impl Filter {
     /// Keep rows where `pred` is true (NULL = drop).
-    pub fn new(input: Executor, pred: Expr, fns: Arc<FnRegistry>) -> Self {
-        Filter { input, pred, fns }
+    pub fn new(input: Executor, pred: Expr) -> Self {
+        Filter { input, pred }
     }
 }
 
@@ -107,7 +107,7 @@ impl Iterator for Filter {
         loop {
             match self.input.next()? {
                 Err(e) => return Some(Err(e)),
-                Ok(row) => match self.pred.eval_bool(&row, &self.fns) {
+                Ok(row) => match self.pred.eval_bool(&row) {
                     Err(e) => return Some(Err(e)),
                     Ok(true) => return Some(Ok(row)),
                     Ok(false) => continue,
@@ -121,13 +121,12 @@ impl Iterator for Filter {
 pub struct Project {
     input: Executor,
     exprs: Vec<Expr>,
-    fns: Arc<FnRegistry>,
 }
 
 impl Project {
     /// Each output row is `exprs` evaluated on the input row.
-    pub fn new(input: Executor, exprs: Vec<Expr>, fns: Arc<FnRegistry>) -> Self {
-        Project { input, exprs, fns }
+    pub fn new(input: Executor, exprs: Vec<Expr>) -> Self {
+        Project { input, exprs }
     }
 }
 
@@ -137,7 +136,7 @@ impl Iterator for Project {
         match self.input.next()? {
             Err(e) => Some(Err(e)),
             Ok(row) => {
-                let out: Result<Row> = self.exprs.iter().map(|e| e.eval(&row, &self.fns)).collect();
+                let out: Result<Row> = self.exprs.iter().map(|e| e.eval(&row)).collect();
                 Some(out)
             }
         }
@@ -152,7 +151,7 @@ pub struct Sort {
 
 impl Sort {
     /// Sort by the given key expressions (ascending flags per key).
-    pub fn new(input: Executor, keys: Vec<(Expr, bool)>, fns: Arc<FnRegistry>) -> Self {
+    pub fn new(input: Executor, keys: Vec<(Expr, bool)>) -> Self {
         let mut rows = Vec::new();
         let mut err = None;
         for r in input {
@@ -170,7 +169,7 @@ impl Sort {
             'outer: for row in rows {
                 let mut kv = Vec::with_capacity(keys.len());
                 for (e, _) in &keys {
-                    match e.eval(&row, &fns) {
+                    match e.eval(&row) {
                         Ok(v) => kv.push(v),
                         Err(e) => {
                             err = Some(e);
@@ -251,7 +250,6 @@ pub struct NestedLoopJoin {
     left: Vec<Row>,
     right: Vec<Row>,
     cond: Expr,
-    fns: Arc<FnRegistry>,
     li: usize,
     ri: usize,
     err: Option<StoreError>,
@@ -259,7 +257,7 @@ pub struct NestedLoopJoin {
 
 impl NestedLoopJoin {
     /// Join two inputs on `cond` (evaluated on concatenated rows).
-    pub fn new(left: Executor, right: Executor, cond: Expr, fns: Arc<FnRegistry>) -> Self {
+    pub fn new(left: Executor, right: Executor, cond: Expr) -> Self {
         let mut err = None;
         let collect = |it: Executor, err: &mut Option<StoreError>| -> Vec<Row> {
             let mut v = Vec::new();
@@ -280,7 +278,6 @@ impl NestedLoopJoin {
             left,
             right,
             cond,
-            fns,
             li: 0,
             ri: 0,
             err,
@@ -299,7 +296,7 @@ impl Iterator for NestedLoopJoin {
                 let mut row = self.left[self.li].clone();
                 row.extend(self.right[self.ri].clone());
                 self.ri += 1;
-                match self.cond.eval_bool(&row, &self.fns) {
+                match self.cond.eval_bool(&row) {
                     Err(e) => return Some(Err(e)),
                     Ok(true) => return Some(Ok(row)),
                     Ok(false) => continue,
@@ -312,85 +309,66 @@ impl Iterator for NestedLoopJoin {
     }
 }
 
-/// Sort-merge equi-join on one key column per side.
+/// Sort-merge equi-join on a composite key.
 ///
 /// This is the paper's fast path: H-tables are stored sorted (clustered) on
-/// `id`, so the ubiquitous `N.id = T.id` joins merge in linear time.
+/// `id`, so the ubiquitous `N.id = T.id` joins merge in linear time. The
+/// key is a vector — every equality connecting the two inputs, e.g.
+/// `(t2.id, t2.tend + 1) = (t3.id, t3.tstart)` for the adjacent-period
+/// (`tmeets`) join — so rows pair only when all components match instead
+/// of pairing on `id` and filtering the product afterwards.
 pub struct SortMergeJoin {
     output: std::vec::IntoIter<Row>,
     err: Option<StoreError>,
 }
 
+/// Rows tagged with their evaluated join key.
+type Keyed = Vec<(Vec<Value>, Row)>;
+
 impl SortMergeJoin {
-    /// Join on `left[lkey] == right[rkey]`. Inputs need not be pre-sorted;
-    /// they are sorted here (already-ordered inputs sort in near-linear
-    /// time under the stdlib's adaptive merge sort).
-    pub fn new(left: Executor, right: Executor, lkey: usize, rkey: usize) -> Self {
-        let mut err = None;
-        let mut collect = |it: Executor| -> Vec<Row> {
-            let mut v = Vec::new();
-            for r in it {
-                match r {
-                    Ok(row) => v.push(row),
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            v
-        };
-        // An empty right input joins to nothing, so the left one is never
-        // read: a fully pruned scan on the right costs no left scan.
-        let mut right = collect(right);
-        let mut left = if right.is_empty() {
-            Vec::new()
-        } else {
-            collect(left)
-        };
-        if let Some(e) = err {
-            return SortMergeJoin {
+    /// Join where `lkeys` evaluated on the left row equal `rkeys` on the
+    /// right row, component by component (the two lists have the same
+    /// length). A NULL component never joins. Inputs need not be
+    /// pre-sorted; they are sorted here (already-ordered inputs sort in
+    /// near-linear time under the stdlib's adaptive merge sort). Output
+    /// rows are `left ++ right`.
+    pub fn new(left: Executor, right: Executor, lkeys: Vec<Expr>, rkeys: Vec<Expr>) -> Self {
+        match Self::merge(left, right, &lkeys, &rkeys) {
+            Ok(rows) => SortMergeJoin {
+                output: rows.into_iter(),
+                err: None,
+            },
+            Err(e) => SortMergeJoin {
                 output: Vec::new().into_iter(),
                 err: Some(e),
-            };
+            },
         }
-        left.sort_by(|a, b| a[lkey].total_cmp(&b[lkey]));
-        right.sort_by(|a, b| a[rkey].total_cmp(&b[rkey]));
+    }
+
+    fn merge(left: Executor, right: Executor, lkeys: &[Expr], rkeys: &[Expr]) -> Result<Vec<Row>> {
+        // An empty right input joins to nothing, so the left one is never
+        // read: a fully pruned scan on the right costs no left scan.
+        let right = sorted_by_key(right, rkeys)?;
+        if right.is_empty() {
+            return Ok(Vec::new());
+        }
+        let left = sorted_by_key(left, lkeys)?;
         let mut out = Vec::new();
         let (mut i, mut j) = (0usize, 0usize);
         while i < left.len() && j < right.len() {
-            match left[i][lkey].total_cmp(&right[j][rkey]) {
+            match cmp_keys(&left[i].0, &right[j].0) {
                 Ordering::Less => i += 1,
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
-                    // NULL keys never join.
-                    if left[i][lkey].is_null() {
-                        i += 1;
-                        continue;
-                    }
                     // Emit the cross product of the equal groups.
-                    let je = {
-                        let mut je = j;
-                        while je < right.len()
-                            && right[je][rkey].total_cmp(&left[i][lkey]) == Ordering::Equal
-                        {
-                            je += 1;
-                        }
-                        je
-                    };
-                    let ie = {
-                        let mut ie = i;
-                        while ie < left.len()
-                            && left[ie][lkey].total_cmp(&right[j][rkey]) == Ordering::Equal
-                        {
-                            ie += 1;
-                        }
-                        ie
-                    };
-                    for l in &left[i..ie] {
-                        for r in &right[j..je] {
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
+                    let same = |k: &Vec<Value>| cmp_keys(k, &left[i].0) == Ordering::Equal;
+                    let ie = i + left[i..].iter().take_while(|(k, _)| same(k)).count();
+                    let je = j + right[j..].iter().take_while(|(k, _)| same(k)).count();
+                    for (_, l) in &left[i..ie] {
+                        for (_, r) in &right[j..je] {
+                            let mut row = Vec::with_capacity(l.len() + r.len());
+                            row.extend_from_slice(l);
+                            row.extend_from_slice(r);
                             out.push(row);
                         }
                     }
@@ -399,11 +377,36 @@ impl SortMergeJoin {
                 }
             }
         }
-        SortMergeJoin {
-            output: out.into_iter(),
-            err: None,
+        Ok(out)
+    }
+}
+
+/// Drain `input`, evaluate `keys` on every row, drop rows with a NULL key
+/// component (they can never join) and sort the rest by key — stably, so
+/// equal keys keep input order.
+fn sorted_by_key(input: Executor, keys: &[Expr]) -> Result<Keyed> {
+    let mut out = Vec::new();
+    for row in input {
+        let row = row?;
+        let key = keys
+            .iter()
+            .map(|k| k.eval(&row))
+            .collect::<Result<Vec<_>>>()?;
+        if !key.iter().any(Value::is_null) {
+            out.push((key, row));
         }
     }
+    out.sort_by(|(a, _), (b, _)| cmp_keys(a, b));
+    Ok(out)
+}
+
+/// Lexicographic [`Value::total_cmp`] over two keys of equal length.
+fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| x.total_cmp(y))
+        .find(|o| *o != Ordering::Equal)
+        .unwrap_or(Ordering::Equal)
 }
 
 impl Iterator for SortMergeJoin {
@@ -425,131 +428,178 @@ pub struct AggSpec {
     pub arg: Expr,
 }
 
+/// The running state of one aggregate: the single fold behind
+/// [`GroupAggregate`] and the SQL/XML engine's select-list aggregates.
+///
+/// NULL inputs are skipped. For `AGG(DISTINCT ...)` the inputs are kept
+/// and deduplicated by [`Accumulator::finish`] in O(n log n), then folded
+/// in first-seen order — so a float `SUM`/`AVG(DISTINCT)` adds in the same
+/// order as a fold that checked each value against every one kept so far.
+#[derive(Debug, Clone)]
+pub struct Accumulator {
+    func: AggFunc,
+    /// `Some` for `DISTINCT`: the non-NULL inputs, in arrival order.
+    distinct: Option<Vec<Value>>,
+    count: i64,
+    sum: f64,
+    saw_float: bool,
+    /// The running MIN or MAX (only for those functions).
+    extreme: Option<Value>,
+}
+
+impl Accumulator {
+    /// An empty fold of `func`, deduplicating its inputs if `distinct`.
+    pub fn new(func: AggFunc, distinct: bool) -> Self {
+        Accumulator {
+            func,
+            distinct: distinct.then(Vec::new),
+            count: 0,
+            sum: 0.0,
+            saw_float: false,
+            extreme: None,
+        }
+    }
+
+    /// Fold one input row: `arg` evaluated on `row`, or just the row
+    /// itself for `COUNT(*)`.
+    pub fn update(&mut self, arg: &Expr, row: &[Value]) -> Result<()> {
+        let v = if self.func == AggFunc::CountStar {
+            Value::Int(1)
+        } else {
+            arg.eval(row)?
+        };
+        if v.is_null() {
+            return Ok(());
+        }
+        match &mut self.distinct {
+            Some(kept) => kept.push(v),
+            None => self.fold(v),
+        }
+        Ok(())
+    }
+
+    fn fold(&mut self, v: Value) {
+        self.count += 1;
+        let keep = match self.func {
+            AggFunc::Count | AggFunc::CountStar => return,
+            AggFunc::Sum | AggFunc::Avg => {
+                if let Some(f) = v.as_f64() {
+                    self.sum += f;
+                    self.saw_float |= matches!(v, Value::Double(_));
+                }
+                return;
+            }
+            AggFunc::Min => Ordering::Greater,
+            AggFunc::Max => Ordering::Less,
+        };
+        // Replace the extreme unless it already wins (ties keep the first).
+        if self
+            .extreme
+            .as_ref()
+            .is_none_or(|m| m.total_cmp(&v) == keep)
+        {
+            self.extreme = Some(v);
+        }
+    }
+
+    /// The aggregate's value (SQL semantics: COUNT of nothing is 0, every
+    /// other aggregate of nothing is NULL).
+    pub fn finish(mut self) -> Value {
+        if let Some(values) = self.distinct.take() {
+            for v in first_seen_distinct(values) {
+                self.fold(v);
+            }
+        }
+        match self.func {
+            AggFunc::Count | AggFunc::CountStar => Value::Int(self.count),
+            _ if self.count == 0 => Value::Null,
+            AggFunc::Sum if self.saw_float => Value::Double(self.sum),
+            AggFunc::Sum => Value::Int(self.sum as i64),
+            AggFunc::Avg => Value::Double(self.sum / self.count as f64),
+            AggFunc::Min | AggFunc::Max => self.extreme.unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// `values` with later duplicates (equal under [`Value::total_cmp`])
+/// removed, in first-seen order: a stable sort of the positions groups
+/// equal values with the earliest first, in O(n log n).
+fn first_seen_distinct(values: Vec<Value>) -> Vec<Value> {
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+    let mut first = vec![false; values.len()];
+    for (k, &i) in order.iter().enumerate() {
+        first[i] = k == 0 || values[order[k - 1]].total_cmp(&values[i]) != Ordering::Equal;
+    }
+    values
+        .into_iter()
+        .zip(first)
+        .filter_map(|(v, keep)| keep.then_some(v))
+        .collect()
+}
+
 /// Hash group-by with the standard SQL aggregates.
 ///
 /// Output rows are `group keys ++ aggregate values`, grouped in first-seen
 /// order. With no group keys, a single global row is produced (even on
-/// empty input, matching SQL semantics).
+/// empty input, matching SQL semantics) and rows are folded straight into
+/// it.
 pub struct GroupAggregate {
     output: std::vec::IntoIter<Row>,
     err: Option<StoreError>,
 }
 
-#[derive(Default, Clone)]
-struct AggState {
-    count: i64,
-    sum: f64,
-    saw_float: bool,
-    min: Option<Value>,
-    max: Option<Value>,
-}
-
 impl GroupAggregate {
     /// Group `input` by `group_exprs` and compute `aggs` per group.
-    pub fn new(
-        input: Executor,
-        group_exprs: Vec<Expr>,
-        aggs: Vec<AggSpec>,
-        fns: Arc<FnRegistry>,
-    ) -> Self {
-        let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut err = None;
-        'rows: for r in input {
-            let row = match r {
-                Ok(row) => row,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            };
-            let mut key = Vec::with_capacity(group_exprs.len());
-            for ge in &group_exprs {
-                match ge.eval(&row, &fns) {
-                    Ok(v) => key.push(v),
-                    Err(e) => {
-                        err = Some(e);
-                        break 'rows;
-                    }
-                }
-            }
-            let fingerprint = format!("{key:?}");
-            let gi = *index.entry(fingerprint).or_insert_with(|| {
-                groups.push((key.clone(), vec![AggState::default(); aggs.len()]));
-                groups.len() - 1
-            });
-            for (ai, spec) in aggs.iter().enumerate() {
-                let state = &mut groups[gi].1[ai];
-                let v = if spec.func == AggFunc::CountStar {
-                    Value::Int(1)
-                } else {
-                    match spec.arg.eval(&row, &fns) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            err = Some(e);
-                            break 'rows;
-                        }
-                    }
-                };
-                if v.is_null() {
-                    continue;
-                }
-                state.count += 1;
-                if let Some(f) = v.as_f64() {
-                    state.sum += f;
-                    state.saw_float |= matches!(v, Value::Double(_));
-                }
-                match &state.min {
-                    Some(m) if m.total_cmp(&v) != Ordering::Greater => {}
-                    _ => state.min = Some(v.clone()),
-                }
-                match &state.max {
-                    Some(m) if m.total_cmp(&v) != Ordering::Less => {}
-                    _ => state.max = Some(v.clone()),
-                }
-            }
-        }
-        if err.is_some() {
-            return GroupAggregate {
+    pub fn new(input: Executor, group_exprs: Vec<Expr>, aggs: Vec<AggSpec>) -> Self {
+        match Self::fold(input, &group_exprs, &aggs) {
+            Ok(rows) => GroupAggregate {
+                output: rows.into_iter(),
+                err: None,
+            },
+            Err(e) => GroupAggregate {
                 output: Vec::new().into_iter(),
-                err,
+                err: Some(e),
+            },
+        }
+    }
+
+    fn fold(input: Executor, group_exprs: &[Expr], aggs: &[AggSpec]) -> Result<Vec<Row>> {
+        let fresh = || -> Vec<Accumulator> {
+            aggs.iter()
+                .map(|a| Accumulator::new(a.func, false))
+                .collect()
+        };
+        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
+        if group_exprs.is_empty() {
+            groups.push((Vec::new(), fresh()));
+        }
+        let mut index: HashMap<String, usize> = HashMap::new();
+        for row in input {
+            let row = row?;
+            let gi = if group_exprs.is_empty() {
+                0
+            } else {
+                let key = group_exprs
+                    .iter()
+                    .map(|g| g.eval(&row))
+                    .collect::<Result<Vec<_>>>()?;
+                *index.entry(format!("{key:?}")).or_insert_with(|| {
+                    groups.push((key, fresh()));
+                    groups.len() - 1
+                })
             };
-        }
-        if groups.is_empty() && group_exprs.is_empty() {
-            groups.push((Vec::new(), vec![AggState::default(); aggs.len()]));
-        }
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, states) in groups {
-            let mut row = key;
-            for (spec, st) in aggs.iter().zip(&states) {
-                row.push(match spec.func {
-                    AggFunc::Count | AggFunc::CountStar => Value::Int(st.count),
-                    AggFunc::Sum => {
-                        if st.count == 0 {
-                            Value::Null
-                        } else if st.saw_float {
-                            Value::Double(st.sum)
-                        } else {
-                            Value::Int(st.sum as i64)
-                        }
-                    }
-                    AggFunc::Avg => {
-                        if st.count == 0 {
-                            Value::Null
-                        } else {
-                            Value::Double(st.sum / st.count as f64)
-                        }
-                    }
-                    AggFunc::Min => st.min.clone().unwrap_or(Value::Null),
-                    AggFunc::Max => st.max.clone().unwrap_or(Value::Null),
-                });
+            for (acc, spec) in groups[gi].1.iter_mut().zip(aggs) {
+                acc.update(&spec.arg, &row)?;
             }
-            out.push(row);
         }
-        GroupAggregate {
-            output: out.into_iter(),
-            err: None,
-        }
+        Ok(groups
+            .into_iter()
+            .map(|(mut row, accs)| {
+                row.extend(accs.into_iter().map(Accumulator::finish));
+                row
+            })
+            .collect())
     }
 }
 
@@ -602,10 +652,6 @@ mod tests {
     use crate::expr::BinOp;
     use crate::value::{DataType, Field, Schema};
 
-    fn fns() -> Arc<FnRegistry> {
-        Arc::new(FnRegistry::new())
-    }
-
     fn rows(n: i64) -> Vec<Row> {
         (0..n)
             .map(|i| vec![Value::Int(i), Value::Str(format!("r{i}"))])
@@ -622,10 +668,8 @@ mod tests {
             Box::new(Filter::new(
                 boxed(rows(10)),
                 Expr::bin(BinOp::Ge, Expr::col(0), Expr::lit(Value::Int(7))),
-                fns(),
             )),
             vec![Expr::col(1)],
-            fns(),
         );
         let out = collect_rows(plan).unwrap();
         assert_eq!(
@@ -645,14 +689,14 @@ mod tests {
             vec![Value::Int(0)],
             vec![Value::Int(1)],
         ];
-        let asc = Sort::new(boxed(input.clone()), vec![(Expr::col(0), true)], fns());
+        let asc = Sort::new(boxed(input.clone()), vec![(Expr::col(0), true)]);
         let got: Vec<i64> = collect_rows(asc)
             .unwrap()
             .iter()
             .map(|r| r[0].as_int().unwrap())
             .collect();
         assert_eq!(got, vec![0, 1, 2]);
-        let desc = Sort::new(boxed(input), vec![(Expr::col(0), false)], fns());
+        let desc = Sort::new(boxed(input), vec![(Expr::col(0), false)]);
         let got: Vec<i64> = collect_rows(desc)
             .unwrap()
             .iter()
@@ -676,7 +720,6 @@ mod tests {
             boxed(left),
             boxed(right),
             Expr::bin(BinOp::Lt, Expr::col(0), Expr::col(1)),
-            fns(),
         );
         let out = collect_rows(j).unwrap();
         assert_eq!(out.len(), 3); // (1,3) (1,7) (5,7)
@@ -695,7 +738,12 @@ mod tests {
             vec![Value::Int(2), Value::Str("y".into())],
             vec![Value::Int(4), Value::Str("z".into())],
         ];
-        let j = SortMergeJoin::new(boxed(left), boxed(right), 0, 0);
+        let j = SortMergeJoin::new(
+            boxed(left),
+            boxed(right),
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+        );
         let out = collect_rows(j).unwrap();
         assert_eq!(out.len(), 4, "2x2 cross product on key 2");
         for row in &out {
@@ -708,7 +756,12 @@ mod tests {
     fn sort_merge_join_null_keys_dropped() {
         let left = vec![vec![Value::Null], vec![Value::Int(1)]];
         let right = vec![vec![Value::Null], vec![Value::Int(1)]];
-        let j = SortMergeJoin::new(boxed(left), boxed(right), 0, 0);
+        let j = SortMergeJoin::new(
+            boxed(left),
+            boxed(right),
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+        );
         assert_eq!(collect_rows(j).unwrap().len(), 1);
     }
 
@@ -717,8 +770,55 @@ mod tests {
         let left: Executor = Box::new(std::iter::from_fn(|| -> Option<RowResult> {
             panic!("left input pulled")
         }));
-        let j = SortMergeJoin::new(left, boxed(Vec::new()), 0, 0);
+        let j = SortMergeJoin::new(
+            left,
+            boxed(Vec::new()),
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+        );
         assert!(collect_rows(j).unwrap().is_empty());
+    }
+
+    /// `(id, a + 1) = (id, b)`: rows pair only when every component
+    /// matches, a NULL in any component never joins, and duplicate key
+    /// groups produce their full cross product.
+    #[test]
+    fn sort_merge_join_on_composite_keys() {
+        let row = |id: i64, v: Option<i64>, tag: &str| {
+            vec![
+                Value::Int(id),
+                v.map_or(Value::Null, Value::Int),
+                Value::Str(tag.into()),
+            ]
+        };
+        let left = vec![
+            row(1, Some(10), "a"),
+            row(1, Some(10), "b"),
+            row(1, Some(20), "c"),
+            row(2, Some(10), "d"),
+            row(2, None, "e"),
+            row(3, Some(5), "f"),
+        ];
+        let right = vec![
+            row(1, Some(11), "x"),
+            row(1, Some(11), "y"),
+            row(1, Some(21), "z"),
+            row(2, Some(12), "w"),
+            row(2, None, "v"),
+            row(3, Some(6), "u"),
+        ];
+        let lkeys = vec![
+            Expr::col(0),
+            Expr::bin(BinOp::Add, Expr::col(1), Expr::lit(Value::Int(1))),
+        ];
+        let rkeys = vec![Expr::col(0), Expr::col(1)];
+        let j = SortMergeJoin::new(boxed(left), boxed(right), lkeys, rkeys);
+        let pairs: Vec<String> = collect_rows(j)
+            .unwrap()
+            .iter()
+            .map(|r| format!("{}{}", r[2], r[5]))
+            .collect();
+        assert_eq!(pairs, ["ax", "ay", "bx", "by", "cz", "fu"]);
     }
 
     #[test]
@@ -756,7 +856,7 @@ mod tests {
                 arg: Expr::col(1),
             },
         ];
-        let g = GroupAggregate::new(boxed(input), vec![Expr::col(0)], aggs, fns());
+        let g = GroupAggregate::new(boxed(input), vec![Expr::col(0)], aggs);
         let out = collect_rows(g).unwrap();
         assert_eq!(out.len(), 2);
         let a = &out[0];
@@ -781,9 +881,95 @@ mod tests {
                 arg: Expr::col(0),
             },
         ];
-        let g = GroupAggregate::new(boxed(vec![]), vec![], aggs, fns());
+        let g = GroupAggregate::new(boxed(vec![]), vec![], aggs);
         let out = collect_rows(g).unwrap();
         assert_eq!(out, vec![vec![Value::Int(0), Value::Null]]);
+    }
+
+    fn fold(func: AggFunc, distinct: bool, values: &[Value]) -> Value {
+        let mut acc = Accumulator::new(func, distinct);
+        for v in values {
+            acc.update(&Expr::col(0), std::slice::from_ref(v)).unwrap();
+        }
+        acc.finish()
+    }
+
+    /// The fold `AGG(DISTINCT)` used before [`Accumulator`]: keep each
+    /// non-NULL value unless an equal one was kept already (O(n·d)), then
+    /// aggregate the survivors in the order they were kept.
+    fn fold_distinct_quadratic(func: AggFunc, values: &[Value]) -> Value {
+        let mut seen: Vec<Value> = Vec::new();
+        for v in values.iter().filter(|v| !v.is_null()) {
+            if !seen.iter().any(|s| s.total_cmp(v) == Ordering::Equal) {
+                seen.push(v.clone());
+            }
+        }
+        fold(func, false, &seen)
+    }
+
+    #[test]
+    fn accumulator_on_empty_and_null_only_input() {
+        let nulls = [Value::Null, Value::Null];
+        for input in [&[][..], &nulls[..]] {
+            for distinct in [false, true] {
+                assert_eq!(fold(AggFunc::Count, distinct, input), Value::Int(0));
+                for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+                    assert_eq!(fold(func, distinct, input), Value::Null, "{func:?}");
+                }
+            }
+        }
+        assert_eq!(
+            fold(AggFunc::CountStar, false, &nulls),
+            Value::Int(2),
+            "COUNT(*) counts rows"
+        );
+    }
+
+    #[test]
+    fn accumulator_skips_nulls() {
+        let input = [Value::Int(4), Value::Null, Value::Int(2), Value::Null];
+        assert_eq!(fold(AggFunc::Count, false, &input), Value::Int(2));
+        assert_eq!(fold(AggFunc::Sum, false, &input), Value::Int(6));
+        assert_eq!(fold(AggFunc::Avg, false, &input), Value::Double(3.0));
+        assert_eq!(fold(AggFunc::Min, false, &input), Value::Int(2));
+        assert_eq!(fold(AggFunc::Max, false, &input), Value::Int(4));
+    }
+
+    /// Float addition is not associative, so `SUM`/`AVG(DISTINCT)` are
+    /// only reproducible if the distinct values are added in first-seen
+    /// order: the sort-based dedupe must match the quadratic one bit for
+    /// bit.
+    #[test]
+    fn distinct_float_sum_matches_first_seen_order() {
+        let input: Vec<Value> = [1e16, 1.0, -1e16, 1.0, 3.5, 1e16, 2.25, 3.5, 1e-3]
+            .into_iter()
+            .map(Value::Double)
+            .chain([Value::Null, Value::Int(7), Value::Double(7.0)])
+            .collect();
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ] {
+            let got = fold(func, true, &input);
+            let want = fold_distinct_quadratic(func, &input);
+            match (&got, &want) {
+                (Value::Double(a), Value::Double(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{func:?}")
+                }
+                _ => assert_eq!(got, want, "{func:?}"),
+            }
+        }
+        // Sorting first would sum 1e16 + (-1e16) before the small terms
+        // and lose them; first-seen order keeps the old answer.
+        let mut sorted = input.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        assert_ne!(
+            fold(AggFunc::Sum, true, &input),
+            fold_distinct_quadratic(AggFunc::Sum, &sorted)
+        );
     }
 
     #[test]

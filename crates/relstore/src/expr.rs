@@ -1,15 +1,22 @@
 //! Row expressions with SQL three-valued logic and a scalar-UDF registry.
 //!
 //! Predicates evaluate to `Int(1)` / `Int(0)` / `Null` (true / false /
-//! unknown), the SQLite convention. ArchIS registers its temporal built-ins
-//! (`toverlaps`, `tcontains`, ...) as scalar UDFs in a [`FnRegistry`] that
-//! the SQL/XML engine passes to every expression evaluation — this is the
-//! paper's "translation of built-in functions" (§5.3, step 4).
+//! unknown), the SQLite convention. `AND` / `OR` short-circuit: `FALSE AND
+//! x` is FALSE and `TRUE OR x` is TRUE without evaluating `x`, so an error
+//! `x` would raise (an unknown-type comparison, a UDF rejecting its
+//! arguments) does not surface on rows the left side already decides.
+//!
+//! ArchIS registers its temporal built-ins (`toverlaps`, `tcontains`, ...)
+//! as scalar UDFs in a [`FnRegistry`] — the paper's "translation of
+//! built-in functions" (§5.3, step 4). A call is bound to its function
+//! once, when the expression is built ([`FnRegistry::call`]); evaluation
+//! never looks a name up.
 
 use crate::value::Value;
 use crate::{Result, StoreError};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// Binary operators.
@@ -82,8 +89,8 @@ pub enum Expr {
     Bin(BinOp, Box<Expr>, Box<Expr>),
     /// Unary operation.
     Un(UnOp, Box<Expr>),
-    /// Scalar UDF call, resolved through the [`FnRegistry`].
-    Call(String, Vec<Expr>),
+    /// Scalar UDF call, bound by [`FnRegistry::call`].
+    Call(BoundFn, Vec<Expr>),
 }
 
 impl Expr {
@@ -116,7 +123,7 @@ impl Expr {
     }
 
     /// Evaluate against a row.
-    pub fn eval(&self, row: &[Value], fns: &FnRegistry) -> Result<Value> {
+    pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
             Expr::Col(i) => row
                 .get(*i)
@@ -124,7 +131,7 @@ impl Expr {
                 .ok_or_else(|| StoreError::Eval(format!("column index {i} out of range"))),
             Expr::Lit(v) => Ok(v.clone()),
             Expr::Un(op, e) => {
-                let v = e.eval(row, fns)?;
+                let v = e.eval(row)?;
                 Ok(match op {
                     UnOp::IsNull => Value::Int(v.is_null() as i64),
                     UnOp::IsNotNull => Value::Int(!v.is_null() as i64),
@@ -141,24 +148,23 @@ impl Expr {
                 })
             }
             Expr::Bin(op, l, r) => {
-                // AND/OR get short-circuit-ish 3VL treatment.
-                if matches!(op, BinOp::And | BinOp::Or) {
-                    let lv = truth(&l.eval(row, fns)?);
-                    let rv = truth(&r.eval(row, fns)?);
-                    return Ok(match (op, lv, rv) {
-                        (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => {
-                            Value::Int(0)
-                        }
-                        (BinOp::And, Some(true), Some(true)) => Value::Int(1),
-                        (BinOp::And, _, _) => Value::Null,
-                        (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => Value::Int(1),
-                        (BinOp::Or, Some(false), Some(false)) => Value::Int(0),
-                        (BinOp::Or, _, _) => Value::Null,
-                        _ => unreachable!(),
+                // AND/OR: three-valued, and the right side is evaluated
+                // only when the left one does not decide.
+                if let BinOp::And | BinOp::Or = op {
+                    let decides = *op == BinOp::Or;
+                    let lv = truth(&l.eval(row)?);
+                    if lv == Some(decides) {
+                        return Ok(Value::Int(decides as i64));
+                    }
+                    let rv = truth(&r.eval(row)?);
+                    return Ok(match (lv, rv) {
+                        (_, Some(b)) if b == decides => Value::Int(decides as i64),
+                        (Some(_), Some(_)) => Value::Int(!decides as i64),
+                        _ => Value::Null,
                     });
                 }
-                let lv = l.eval(row, fns)?;
-                let rv = r.eval(row, fns)?;
+                let lv = l.eval(row)?;
+                let rv = r.eval(row)?;
                 match op {
                     BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         Ok(match lv.sql_cmp(&rv) {
@@ -181,20 +187,19 @@ impl Expr {
                     BinOp::And | BinOp::Or => unreachable!(),
                 }
             }
-            Expr::Call(name, args) => {
-                let f = fns.get(name)?;
+            Expr::Call(f, args) => {
                 let vals = args
                     .iter()
-                    .map(|a| a.eval(row, fns))
+                    .map(|a| a.eval(row))
                     .collect::<Result<Vec<Value>>>()?;
-                f(&vals)
+                (f.f)(&vals)
             }
         }
     }
 
     /// Evaluate as a predicate: NULL counts as false.
-    pub fn eval_bool(&self, row: &[Value], fns: &FnRegistry) -> Result<bool> {
-        Ok(truth(&self.eval(row, fns)?).unwrap_or(false))
+    pub fn eval_bool(&self, row: &[Value]) -> Result<bool> {
+        Ok(truth(&self.eval(row)?).unwrap_or(false))
     }
 }
 
@@ -263,6 +268,27 @@ fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
 /// A scalar user-defined function.
 pub type ScalarFn = Arc<dyn Fn(&[Value]) -> Result<Value> + Send + Sync>;
 
+/// A UDF resolved against a [`FnRegistry`]: the function itself plus its
+/// (lowercase) name for display.
+#[derive(Clone)]
+pub struct BoundFn {
+    name: String,
+    f: ScalarFn,
+}
+
+impl BoundFn {
+    /// The registered (lowercase) name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+impl fmt::Debug for BoundFn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.name)
+    }
+}
+
 /// Named scalar UDFs available to expression evaluation.
 #[derive(Default, Clone)]
 pub struct FnRegistry {
@@ -291,6 +317,18 @@ impl FnRegistry {
             .ok_or_else(|| StoreError::Eval(format!("unknown function {name}")))
     }
 
+    /// Bind a call of `name` over `args`: the name is resolved here, once,
+    /// so an unknown function fails when the plan is built, not per row.
+    pub fn call(&self, name: &str, args: Vec<Expr>) -> Result<Expr> {
+        let name = name.to_ascii_lowercase();
+        let f = self
+            .fns
+            .get(&name)
+            .cloned()
+            .ok_or_else(|| StoreError::Eval(format!("unknown function {name}")))?;
+        Ok(Expr::Call(BoundFn { name, f }, args))
+    }
+
     /// Whether a function is registered.
     pub fn contains(&self, name: &str) -> bool {
         self.fns.contains_key(&name.to_ascii_lowercase())
@@ -302,12 +340,8 @@ mod tests {
     use super::*;
     use temporal::Date;
 
-    fn reg() -> FnRegistry {
-        FnRegistry::new()
-    }
-
     fn ev(e: &Expr, row: &[Value]) -> Value {
-        e.eval(row, &reg()).unwrap()
+        e.eval(row).unwrap()
     }
 
     #[test]
@@ -315,7 +349,7 @@ mod tests {
         let row = vec![Value::Int(7), Value::Str("x".into())];
         assert_eq!(ev(&Expr::col(0), &row), Value::Int(7));
         assert_eq!(ev(&Expr::lit(Value::Int(3)), &row), Value::Int(3));
-        assert!(Expr::col(9).eval(&row, &reg()).is_err());
+        assert!(Expr::col(9).eval(&row).is_err());
     }
 
     #[test]
@@ -328,10 +362,7 @@ mod tests {
         // NULL propagates as unknown.
         let vs_null = Expr::bin(BinOp::Eq, Expr::col(0), Expr::lit(Value::Null));
         assert_eq!(ev(&vs_null, &row), Value::Null);
-        assert!(
-            !vs_null.eval_bool(&row, &reg()).unwrap(),
-            "unknown filters out"
-        );
+        assert!(!vs_null.eval_bool(&row).unwrap(), "unknown filters out");
     }
 
     #[test]
@@ -341,14 +372,43 @@ mod tests {
         let n = Expr::lit(Value::Null);
         let and = |a: &Expr, b: &Expr| ev(&Expr::bin(BinOp::And, a.clone(), b.clone()), &[]);
         let or = |a: &Expr, b: &Expr| ev(&Expr::bin(BinOp::Or, a.clone(), b.clone()), &[]);
-        assert_eq!(and(&t, &n), Value::Null);
-        assert_eq!(and(&f, &n), Value::Int(0), "false AND unknown = false");
-        assert_eq!(or(&t, &n), Value::Int(1), "true OR unknown = true");
-        assert_eq!(or(&f, &n), Value::Null);
+        let (yes, no) = (Value::Int(1), Value::Int(0));
+        // The full truth table, NULL on either side.
+        let table = [
+            (&t, &t, &yes, &yes),
+            (&t, &f, &no, &yes),
+            (&t, &n, &Value::Null, &yes),
+            (&f, &t, &no, &yes),
+            (&f, &f, &no, &no),
+            (&f, &n, &no, &Value::Null),
+            (&n, &t, &Value::Null, &yes),
+            (&n, &f, &no, &Value::Null),
+            (&n, &n, &Value::Null, &Value::Null),
+        ];
+        for (a, b, want_and, want_or) in table {
+            assert_eq!(&and(a, b), want_and, "{a:?} AND {b:?}");
+            assert_eq!(&or(a, b), want_or, "{a:?} OR {b:?}");
+        }
         assert_eq!(
             ev(&Expr::Un(UnOp::Not, Box::new(Expr::lit(Value::Null))), &[]),
             Value::Null
         );
+    }
+
+    #[test]
+    fn and_or_short_circuit_skips_the_right_side() {
+        // Column 5 does not exist: evaluating the right side is an error.
+        let boom = Expr::col(5);
+        let t = Expr::lit(Value::Int(1));
+        let f = Expr::lit(Value::Int(0));
+        let n = Expr::lit(Value::Null);
+        let and = |l: &Expr| Expr::bin(BinOp::And, l.clone(), boom.clone()).eval(&[]);
+        let or = |l: &Expr| Expr::bin(BinOp::Or, l.clone(), boom.clone()).eval(&[]);
+        assert_eq!(and(&f).unwrap(), Value::Int(0), "FALSE AND x never reads x");
+        assert_eq!(or(&t).unwrap(), Value::Int(1), "TRUE OR x never reads x");
+        // Undecided left sides still evaluate (and surface) the right one.
+        assert!(and(&t).is_err() && and(&n).is_err());
+        assert!(or(&f).is_err() && or(&n).is_err());
     }
 
     #[test]
@@ -363,7 +423,7 @@ mod tests {
             Expr::bin(BinOp::Le, Expr::col(0), Expr::lit(day.clone())),
             Expr::bin(BinOp::Ge, Expr::col(1), Expr::lit(day)),
         ]);
-        assert!(pred.eval_bool(&row, &reg()).unwrap());
+        assert!(pred.eval_bool(&row).unwrap());
     }
 
     #[test]
@@ -403,9 +463,15 @@ mod tests {
         fns.register("double_it", |args| {
             Ok(Value::Int(args[0].as_int().unwrap_or(0) * 2))
         });
-        let call = Expr::Call("DOUBLE_IT".into(), vec![Expr::lit(Value::Int(21))]);
-        assert_eq!(call.eval(&[], &fns).unwrap(), Value::Int(42));
-        assert!(Expr::Call("nope".into(), vec![]).eval(&[], &fns).is_err());
+        let call = fns
+            .call("DOUBLE_IT", vec![Expr::lit(Value::Int(21))])
+            .unwrap();
+        assert_eq!(call.eval(&[]).unwrap(), Value::Int(42));
+        assert!(matches!(&call, Expr::Call(f, _) if f.name() == "double_it"));
+        assert!(
+            fns.call("nope", vec![]).is_err(),
+            "unknown names fail at bind time"
+        );
         assert!(fns.contains("Double_It"));
     }
 

@@ -89,9 +89,10 @@ pub trait Pager: Send + Sync {
     /// Pin a read-only snapshot of the durable committed state.
     ///
     /// Transactional pagers return `Some((commit_lsn, num_pages))`: the
-    /// sequence number of the last committed transaction — forced durable
-    /// first, so the snapshot survives any crash — and the page count as
-    /// of that commit. Until [`Pager::unpin_snapshot`] releases the pin,
+    /// sequence number of the last *durable* commit — so the snapshot
+    /// survives any crash without the pin forcing a flush; commits still
+    /// waiting in a group-commit batch become visible after
+    /// [`Pager::sync`] — and the page count as of that commit. Until [`Pager::unpin_snapshot`] releases the pin,
     /// [`Pager::read_page_at`] with that LSN must keep returning the exact
     /// committed page images, no matter what the writer commits, flushes
     /// or checkpoints in the meantime. Non-transactional pagers return

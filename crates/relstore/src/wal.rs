@@ -38,19 +38,22 @@
 //! trade DB2 exposes as `MINCOMMIT`.
 //!
 //! Snapshot isolation (MVCC): every commit seal bumps a monotonic
-//! `commit_lsn`, and [`Pager::pin_snapshot`] freezes the store at the
-//! current (forced-durable) commit. While any pin is live the pager
-//! retains superseded *committed* page images in per-page version chains,
-//! copy-on-write: the first uncommitted overwrite of a committed image
-//! pushes the pre-image (tagged with its commit LSN) onto the page's
+//! `commit_lsn`; every batch flush advances `durable_lsn` to it, and
+//! [`Pager::pin_snapshot`] freezes the store at `durable_lsn` — the last
+//! commit that reached the log and was fsynced. Pinning does no I/O, so a
+//! reader never forces the writer's group-commit batch out early; a reader
+//! that must see its own latest commit calls [`Pager::sync`] first. The
+//! pager retains superseded *committed* page images in per-page version
+//! chains, copy-on-write: the first uncommitted overwrite of a committed
+//! image pushes the pre-image (tagged with its commit LSN) onto the page's
 //! chain, and [`Pager::read_page_at`] serves the newest image at-or-below
 //! the snapshot LSN — from the page table if its committed image is old
 //! enough, else from the chain, else from the base file. Checkpoints
 //! preserve pinned history by capturing the pre-fold base image (and the
 //! folded image's LSN) into the chains before overwriting the base file.
-//! Chains are pruned on unpin and discarded wholesale at commit seals
-//! while no pin is live, so the writer pays one 4 KiB copy per
-//! first-dirtied committed page per transaction and nothing else.
+//! Chains are pruned to `min(oldest pin, durable_lsn)` — the oldest LSN
+//! any present or future pin can read — whenever that floor moves: at
+//! every batch flush and every unpin.
 
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::Pager;
@@ -654,6 +657,12 @@ struct WalState {
     /// Sequence number of the last sealed commit (monotonic per process;
     /// starts at the number of commits replayed from the log on open).
     commit_lsn: u64,
+    /// The last commit written to the log and fsynced — what snapshots
+    /// pin. Set on open (everything replayed is durable), by every batch
+    /// flush and by checkpoints.
+    durable_lsn: u64,
+    /// `committed_num_pages` as of `durable_lsn`.
+    durable_num_pages: u64,
     /// For each page in `table` whose image is committed: the LSN of the
     /// commit that produced it. Entries for pages in `uncommitted` are
     /// stale (they describe the overwritten committed image, which now
@@ -663,8 +672,7 @@ struct WalState {
     /// `lsn` is the commit that produced the image (0 = the pre-fold base
     /// image captured at a checkpoint). Populated copy-on-write by
     /// `write_page` when an uncommitted write lands on a committed image;
-    /// cleared at every commit seal while `pinned` is empty, pruned to the
-    /// oldest live pin otherwise.
+    /// pruned to `min(oldest pin, durable_lsn)` by `prune_versions`.
     versions: HashMap<PageId, VersionChain>,
     /// Live snapshot pins: commit LSN → refcount. Ordered so the pruning
     /// logic can read the oldest pin in O(log n).
@@ -764,6 +772,8 @@ impl WalPager {
                 committed_num_pages: num_pages,
                 pending_commits: 0,
                 commit_lsn: info.commits_applied,
+                durable_lsn: info.commits_applied,
+                durable_num_pages: num_pages,
                 page_lsn,
                 versions: HashMap::new(),
                 pinned: BTreeMap::new(),
@@ -833,10 +843,9 @@ impl WalPager {
     /// Seal the in-flight transaction: bump the commit LSN, move its page
     /// images into the group-commit batch (deduped — a page already in the
     /// batch keeps only the newest committed image), stamp each page's
-    /// commit LSN and record the allocated page count. While no snapshot
-    /// is pinned the retained version chains are discarded here — future
-    /// pins can only be at this seal or later, so pre-images kept for the
-    /// window between seals are dead weight the moment the seal lands.
+    /// commit LSN and record the allocated page count. Retained versions
+    /// stay: until the batch is flushed, new pins land at the older
+    /// `durable_lsn` and may need them.
     fn seal_commit(st: &mut WalState) {
         st.commit_lsn += 1;
         let lsn = st.commit_lsn;
@@ -844,17 +853,46 @@ impl WalPager {
             st.batch.insert(id, st.table[&id].clone());
             st.page_lsn.insert(id, lsn);
         }
-        if st.pinned.is_empty() {
-            st.versions.clear();
-        }
         st.committed_num_pages = st.num_pages;
         st.stats.commits += 1;
         st.pending_commits += 1;
     }
 
+    /// Drop retained versions no reader can reach. Every live pin is at or
+    /// above the oldest one, and every future pin is at or above
+    /// `durable_lsn`, so below `floor = min(oldest pin, durable_lsn)` only
+    /// the newest image at-or-below `floor` matters. A chain dies whole
+    /// once the page's current committed image — the page-table image, or
+    /// for a page folded out of the table the base file, which equals the
+    /// chain's newest entry — is itself at-or-below `floor`.
+    fn prune_versions(st: &mut WalState) {
+        let floor = st
+            .pinned
+            .keys()
+            .next()
+            .map_or(st.durable_lsn, |&pin| pin.min(st.durable_lsn));
+        let (table, page_lsn, uncommitted) = (&st.table, &st.page_lsn, &st.uncommitted);
+        st.versions.retain(|id, chain| {
+            let current = if uncommitted.contains(id) {
+                None
+            } else if table.contains_key(id) {
+                Some(page_lsn.get(id).copied().unwrap_or(0))
+            } else {
+                chain.last().map(|(l, _)| *l)
+            };
+            if current.is_some_and(|l| l <= floor) {
+                return false;
+            }
+            let keep_from = chain.iter().rposition(|(l, _)| *l <= floor).unwrap_or(0);
+            chain.drain(..keep_from);
+            !chain.is_empty()
+        });
+    }
+
     /// Flush the sealed batch — deduped page images in page order, then
-    /// one commit record, then fsync. No-op when nothing has committed
-    /// since the last flush.
+    /// one commit record, then fsync — and advance `durable_lsn` to the
+    /// last sealed commit. No-op when nothing has committed since the last
+    /// flush.
     fn flush_batch(&self, st: &mut WalState) -> Result<()> {
         if st.pending_commits == 0 {
             return Ok(());
@@ -872,6 +910,9 @@ impl WalPager {
         st.stats.syncs += 1;
         st.batch.clear();
         st.pending_commits = 0;
+        st.durable_lsn = st.commit_lsn;
+        st.durable_num_pages = st.committed_num_pages;
+        Self::prune_versions(st);
         Ok(())
     }
 }
@@ -1026,6 +1067,9 @@ impl Pager for WalPager {
         st.stats.checkpoints += 1;
         st.table.clear();
         st.page_lsn.clear();
+        // Folded pages now read from the base file; only chains a live
+        // pin still needs survive.
+        Self::prune_versions(st);
         Ok(())
     }
 
@@ -1045,18 +1089,17 @@ impl Pager for WalPager {
         self.state.lock().commit_lsn
     }
 
-    /// Pin the current commit for snapshot reads. The pending batch is
-    /// flushed and made durable first, so every snapshot handed out is a
-    /// state that survives any subsequent crash — recovery can only land
-    /// at or after it. Registration happens under the same state-lock
-    /// critical section, so there is no window in which the writer could
-    /// overwrite a committed image without retaining it for this pin.
+    /// Pin the last durable commit for snapshot reads. No I/O: commits
+    /// sealed since the last flush are not visible to the pin (call
+    /// [`Pager::sync`] first to read your own writes), and since the pin
+    /// is never newer than the log's fsynced tail, recovery can only land
+    /// at or after it. Registration happens under the state lock, so the
+    /// floor `prune_versions` uses can never pass a pin being taken.
     fn pin_snapshot(&self) -> Result<Option<(u64, u64)>> {
         let st = &mut *self.state.lock();
-        self.flush_batch(st)?;
-        let lsn = st.commit_lsn;
+        let lsn = st.durable_lsn;
         *st.pinned.entry(lsn).or_insert(0) += 1;
-        Ok(Some((lsn, st.committed_num_pages)))
+        Ok(Some((lsn, st.durable_num_pages)))
     }
 
     fn unpin_snapshot(&self, commit_lsn: u64) {
@@ -1067,35 +1110,7 @@ impl Pager for WalPager {
                 st.pinned.remove(&commit_lsn);
             }
         }
-        if st.pinned.is_empty() {
-            // With no pins left, retained history is dead weight — except
-            // for pages the in-flight transaction has already overwritten:
-            // their newest pre-image is still the *committed* image that
-            // the next pin (taken before the seal) must read, because the
-            // page-table slot holds uncommitted bytes. Dropping it would
-            // make those pages read as zeroes / stale base state.
-            let uncommitted = &st.uncommitted;
-            st.versions.retain(|id, chain| {
-                if !uncommitted.contains(id) {
-                    return false;
-                }
-                if chain.len() > 1 {
-                    chain.drain(..chain.len() - 1);
-                }
-                true
-            });
-            return;
-        }
-        // Prune each chain to what live pins can still reach: an entry is
-        // dead once a newer entry exists that is itself at-or-below the
-        // oldest pin (every pin would pick the newer one).
-        if let Some(&min_pin) = st.pinned.keys().next() {
-            st.versions.retain(|_, chain| {
-                let keep_from = chain.iter().rposition(|(l, _)| *l <= min_pin).unwrap_or(0);
-                chain.drain(..keep_from);
-                !chain.is_empty()
-            });
-        }
+        Self::prune_versions(st);
     }
 
     /// Serve page `id` as of pinned commit `lsn`: the page table if its
@@ -1652,17 +1667,69 @@ mod tests {
     }
 
     #[test]
-    fn pin_snapshot_forces_durability() {
+    fn pin_sees_last_flushed_commit_and_newest_after_sync() {
         let (_base, log, pager) = wal_over_mem(WalConfig::with_group_commit(64));
         let id = pager.allocate().unwrap();
         pager.write_page(id, &[6u8; PAGE_SIZE]).unwrap();
         pager.commit().unwrap();
-        // Group commit is holding the batch back; pinning must flush and
-        // fsync it so the returned LSN is crash-safe.
-        assert_eq!(log.sync_count(), 0);
-        let (lsn, _) = pager.pin_snapshot().unwrap().unwrap();
-        assert_eq!(lsn, 1);
-        assert!(log.sync_count() >= 1);
+        pager.sync().unwrap(); // commit 1 is durable
+        let b = pager.allocate().unwrap();
+        pager.write_page(id, &[7u8; PAGE_SIZE]).unwrap();
+        pager.write_page(b, &[7u8; PAGE_SIZE]).unwrap();
+        pager.commit().unwrap(); // commit 2 waits in the group-commit batch
+
+        // Pinning does no I/O and lands on the last flushed commit.
+        let syncs = log.sync_count();
+        let (lsn, pages) = pager.pin_snapshot().unwrap().unwrap();
+        assert_eq!(log.sync_count(), syncs, "pinning never fsyncs");
+        assert_eq!(
+            (lsn, pages),
+            (1, 1),
+            "pins the durable commit and page count"
+        );
+        assert_eq!(page_at(&pager, id, lsn), 6);
+
+        // Flushes while the pin lives advance the floor to the pin, not
+        // past it: the pinned image stays reachable.
+        for i in 8..11u8 {
+            pager.write_page(id, &[i; PAGE_SIZE]).unwrap();
+            pager.commit().unwrap();
+        }
+        pager.sync().unwrap();
+        assert_eq!(page_at(&pager, id, lsn), 6);
         pager.unpin_snapshot(lsn);
+
+        // Read-your-writes: after `sync` a pin sees the newest commit.
+        pager.write_page(id, &[11u8; PAGE_SIZE]).unwrap();
+        pager.commit().unwrap();
+        pager.sync().unwrap();
+        let (newest, pages) = pager.pin_snapshot().unwrap().unwrap();
+        assert_eq!((newest, pages), (pager.commit_lsn(), 2));
+        assert_eq!(page_at(&pager, id, newest), 11);
+        assert_eq!(page_at(&pager, b, newest), 7);
+        pager.unpin_snapshot(newest);
+        assert!(pager.state.lock().versions.is_empty());
+    }
+
+    #[test]
+    fn versions_are_retained_for_the_durable_floor_until_the_flush() {
+        // No pin is live, but commits 2.. are not durable yet: the next pin
+        // lands at commit 1 and must read its image, so the chain stays
+        // until the batch flush moves the floor.
+        let (_base, _log, pager) = wal_over_mem(WalConfig::with_group_commit(64));
+        let id = pager.allocate().unwrap();
+        pager.write_page(id, &[1u8; PAGE_SIZE]).unwrap();
+        pager.commit().unwrap();
+        pager.sync().unwrap();
+        for i in 2..5u8 {
+            pager.write_page(id, &[i; PAGE_SIZE]).unwrap();
+            pager.commit().unwrap();
+        }
+        let (lsn, _) = pager.pin_snapshot().unwrap().unwrap();
+        assert_eq!(page_at(&pager, id, lsn), 1);
+        pager.unpin_snapshot(lsn);
+        assert!(!pager.state.lock().versions.is_empty());
+        pager.sync().unwrap();
+        assert!(pager.state.lock().versions.is_empty());
     }
 }

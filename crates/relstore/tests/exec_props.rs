@@ -3,19 +3,20 @@
 
 use proptest::prelude::*;
 use relstore::exec::{collect_rows, Filter, NestedLoopJoin, Row, SeqScan, Sort, SortMergeJoin};
-use relstore::expr::{BinOp, Expr, FnRegistry};
+use relstore::expr::{BinOp, Expr};
 use relstore::Value;
-use std::sync::Arc;
-
-fn fns() -> Arc<FnRegistry> {
-    Arc::new(FnRegistry::new())
-}
 
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(
         (0i64..8, -50i64..50).prop_map(|(k, v)| vec![Value::Int(k), Value::Int(v)]),
         0..40,
     )
+}
+
+/// The multiset of output rows (join output order may differ).
+fn norm(mut v: Vec<Row>) -> Vec<Row> {
+    v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    v
 }
 
 proptest! {
@@ -25,7 +26,6 @@ proptest! {
         let got = collect_rows(Filter::new(
             Box::new(SeqScan::from_rows(rows.clone())),
             pred,
-            fns(),
         )).unwrap();
         let want: Vec<Row> = rows
             .into_iter()
@@ -39,7 +39,6 @@ proptest! {
         let got = collect_rows(Sort::new(
             Box::new(SeqScan::from_rows(rows.clone())),
             vec![(Expr::col(1), true), (Expr::col(0), false)],
-            fns(),
         )).unwrap();
         let mut want = rows;
         want.sort_by(|a, b| {
@@ -53,21 +52,43 @@ proptest! {
         let smj = collect_rows(SortMergeJoin::new(
             Box::new(SeqScan::from_rows(left.clone())),
             Box::new(SeqScan::from_rows(right.clone())),
-            0,
-            0,
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
         )).unwrap();
         let cond = Expr::bin(BinOp::Eq, Expr::col(0), Expr::col(2));
         let nlj = collect_rows(NestedLoopJoin::new(
             Box::new(SeqScan::from_rows(left)),
             Box::new(SeqScan::from_rows(right)),
             cond,
-            fns(),
         )).unwrap();
-        // Same multiset of output rows (order may differ).
-        let norm = |mut v: Vec<Row>| {
-            v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            v
-        };
+        prop_assert_eq!(norm(smj), norm(nlj));
+    }
+
+    /// Composite keys with an offset component — `(l.0, l.1 + d) =
+    /// (r.0, r.1)`, the shape of the adjacent-period join — against the
+    /// nested loop filtering on the same conjunction.
+    #[test]
+    fn composite_key_join_equals_nested_loop(
+        left in arb_rows(),
+        right in arb_rows(),
+        d in -3i64..4,
+    ) {
+        let plus_d = Expr::bin(BinOp::Add, Expr::col(1), Expr::lit(Value::Int(d)));
+        let smj = collect_rows(SortMergeJoin::new(
+            Box::new(SeqScan::from_rows(left.clone())),
+            Box::new(SeqScan::from_rows(right.clone())),
+            vec![Expr::col(0), plus_d.clone()],
+            vec![Expr::col(0), Expr::col(1)],
+        )).unwrap();
+        let cond = Expr::and_all(vec![
+            Expr::bin(BinOp::Eq, Expr::col(0), Expr::col(2)),
+            Expr::bin(BinOp::Eq, plus_d, Expr::col(3)),
+        ]);
+        let nlj = collect_rows(NestedLoopJoin::new(
+            Box::new(SeqScan::from_rows(left)),
+            Box::new(SeqScan::from_rows(right)),
+            cond,
+        )).unwrap();
         prop_assert_eq!(norm(smj), norm(nlj));
     }
 

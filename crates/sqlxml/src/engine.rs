@@ -10,17 +10,30 @@
 //!    [`relstore::planner`] costs against a sequential scan using the
 //!    per-segment statistics catalog (the paper's `segno = sn` segment
 //!    restriction, §6.3, rides in as a candidate bound),
-//! 2. equality join conditions (`N.id = T.id`) execute as sort-merge
-//!    joins — "very fast (in linear time) since every table is already
-//!    sorted on its id attribute" (§5.3),
-//! 3. the select list is evaluated per row, or per group when `GROUP BY`
-//!    or aggregates are present; `XMLElement` / `XMLAgg` construct XML
-//!    inside the engine.
+//! 2. equality join conditions execute as sort-merge joins — "very fast
+//!    (in linear time) since every table is already sorted on its id
+//!    attribute" (§5.3). A condition is a join key when each side is one
+//!    column, optionally plus or minus an integer literal (`t3.tstart =
+//!    t2.tend + 1`, the equality the translator emits beside every
+//!    `tmeets`). Each table in FROM order joins the tables before it on
+//!    *all* the key conditions that connect them, as one composite key —
+//!    Q6's adjacent-period join merges on `(id, t2.tend + 1) = (id,
+//!    t3.tstart)` instead of pairing every period of an id with every
+//!    other one and filtering,
+//! 3. the select list is compiled once per statement and evaluated per
+//!    row, or per group when `GROUP BY` or aggregates are present;
+//!    aggregates fold over the group in place ([`Accumulator`]), and
+//!    `XMLElement` / `XMLAgg` construct XML inside the engine.
+//!
+//! Compilation binds every UDF call to its registry entry once, and a
+//! string literal passed to a UDF that is a date in `YYYY-MM-DD` form is
+//! bound as a `DATE` value, so the temporal built-ins never re-parse their
+//! window on every row.
 
 use crate::parser::{parse_sql, SelectStmt, SqlExpr};
 use crate::{Result, SqlError};
-use relstore::exec::{AggSpec, Executor, Filter, NestedLoopJoin, Row, SeqScan, SortMergeJoin};
-use relstore::expr::{BinOp, Expr, FnRegistry};
+use relstore::exec::{Accumulator, Executor, Filter, NestedLoopJoin, Row, SeqScan, SortMergeJoin};
+use relstore::expr::{AggFunc, BinOp, Expr, FnRegistry};
 use relstore::planner;
 use relstore::value::{DataType, Field, Value};
 use relstore::{Database, Table};
@@ -213,8 +226,9 @@ impl Scope {
 }
 
 /// Compile a scalar SqlExpr to a relstore row expression over the scope
-/// (with an optional column offset shift for single-table compilation).
-fn compile(e: &SqlExpr, scope: &Scope, shift: usize) -> Result<Expr> {
+/// (with an optional column offset shift for single-table compilation),
+/// binding UDF calls through `fns`.
+fn compile(e: &SqlExpr, scope: &Scope, shift: usize, fns: &FnRegistry) -> Result<Expr> {
     Ok(match e {
         SqlExpr::Lit(v) => Expr::Lit(v.clone()),
         SqlExpr::Col { qualifier, name } => {
@@ -226,17 +240,20 @@ fn compile(e: &SqlExpr, scope: &Scope, shift: usize) -> Result<Expr> {
             let (l2, r2) = coerce_dates(op, l, r, scope);
             Expr::Bin(
                 *op,
-                Box::new(compile(&l2, scope, shift)?),
-                Box::new(compile(&r2, scope, shift)?),
+                Box::new(compile(&l2, scope, shift, fns)?),
+                Box::new(compile(&r2, scope, shift, fns)?),
             )
         }
-        SqlExpr::Un(op, x) => Expr::Un(*op, Box::new(compile(x, scope, shift)?)),
+        SqlExpr::Un(op, x) => Expr::Un(*op, Box::new(compile(x, scope, shift, fns)?)),
         SqlExpr::Call(name, args) => {
             let compiled = args
                 .iter()
-                .map(|a| compile(a, scope, shift))
+                .map(|a| match a {
+                    SqlExpr::Lit(Value::Str(s)) => Ok(Expr::Lit(date_literal(s))),
+                    other => compile(other, scope, shift, fns),
+                })
                 .collect::<Result<Vec<_>>>()?;
-            Expr::Call(name.clone(), compiled)
+            fns.call(name, compiled)?
         }
         SqlExpr::Agg(..)
         | SqlExpr::AggDistinct(..)
@@ -247,6 +264,15 @@ fn compile(e: &SqlExpr, scope: &Scope, shift: usize) -> Result<Expr> {
             ))
         }
     })
+}
+
+/// A UDF's string-literal argument: a `DATE` when it is one written as
+/// `YYYY-MM-DD` (it formats back to itself), else the string unchanged.
+fn date_literal(s: &str) -> Value {
+    match Date::parse(s) {
+        Ok(d) if d.to_string() == s => Value::Date(d),
+        _ => Value::Str(s.to_string()),
+    }
 }
 
 /// Rewrite `typed_col <op> 'literal'` so string literals compared against
@@ -332,7 +358,7 @@ fn run_from_where(
                         .unwrap_or_else(|| stmt.from[0].1.clone());
                     table_preds.entry(key).or_default().push(c);
                 }
-                2 if is_col_eq_col(&c) => {
+                2 if is_join_key(&c, scope) => {
                     join_conds.push((aliases[0].clone(), aliases[1].clone(), c));
                 }
                 _ => residual.push(c),
@@ -363,65 +389,41 @@ fn run_from_where(
             joined_aliases.push(alias.clone());
             continue;
         }
-        // Find an equality join condition connecting `alias` to the set.
-        let mut key_pair: Option<(usize, usize)> = None;
-        let mut used = usize::MAX;
-        for (ci, (a1, a2, cond)) in join_conds.iter().enumerate() {
-            let connects = (joined_aliases.contains(a1) && a2 == alias)
-                || (joined_aliases.contains(a2) && a1 == alias);
-            if !connects {
-                continue;
-            }
-            if let SqlExpr::Bin(BinOp::Eq, l, r) = cond {
-                let li = col_index(l, scope)?;
-                let ri = col_index(r, scope)?;
-                // Which side belongs to the new table?
-                let (left_idx, right_idx) = if scope.fields[li].0 == *alias {
-                    (ri, li)
-                } else {
-                    (li, ri)
-                };
-                let right_off = scope.tables[alias].0;
-                key_pair = Some((left_idx, right_idx - right_off));
-                used = ci;
-                break;
+        // Every key condition connecting `alias` to the joined set becomes
+        // one component of a composite sort-merge key. The joined row is a
+        // prefix of the scope (FROM order is scope order), so its side
+        // compiles unshifted; the new table's side is shifted to its own
+        // columns.
+        let right_off = scope.tables[alias].0;
+        let (mut lkeys, mut rkeys) = (Vec::new(), Vec::new());
+        let mut unconnected = Vec::new();
+        for (a1, a2, cond) in join_conds.drain(..) {
+            let connects = (joined_aliases.contains(&a1) && a2 == *alias)
+                || (joined_aliases.contains(&a2) && a1 == *alias);
+            match &cond {
+                SqlExpr::Bin(BinOp::Eq, l, r) if connects => {
+                    let l_is_new =
+                        key_column(l, scope).is_some_and(|c| scope.fields[c].0 == *alias);
+                    let (old, new) = if l_is_new { (r, l) } else { (l, r) };
+                    lkeys.push(compile(old, scope, 0, fns)?);
+                    rkeys.push(compile(new, scope, right_off, fns)?);
+                }
+                _ => unconnected.push((a1, a2, cond)),
             }
         }
+        join_conds = unconnected;
         let left_exec: Executor = joined.take().expect("first table seeds the join");
-        let out: Executor = if let Some((lk, rk)) = key_pair {
-            join_conds.remove(used);
-            Box::new(SortMergeJoin::new(left_exec, right_exec, lk, rk))
-        } else {
-            // Cross / theta join with any conds that connect now.
-            let mut conds = Vec::new();
-            let mut keep = Vec::new();
-            for (a1, a2, cond) in join_conds.drain(..) {
-                let connects = (joined_aliases.contains(&a1) && a2 == *alias)
-                    || (joined_aliases.contains(&a2) && a1 == *alias);
-                if connects {
-                    conds.push(cond);
-                } else {
-                    keep.push((a1, a2, cond));
-                }
-            }
-            join_conds = keep;
-            // NB: the right table's columns sit at their scope offsets only
-            // if FROM order matches scope order, which it does.
-            let cond_expr = if conds.is_empty() {
-                Expr::Lit(Value::Int(1))
-            } else {
-                let compiled = conds
-                    .iter()
-                    .map(|c| compile(c, scope, 0))
-                    .collect::<Result<Vec<_>>>()?;
-                Expr::and_all(compiled)
-            };
+        let out: Executor = if lkeys.is_empty() {
+            // Nothing connects yet: cross join; the conditions that relate
+            // these tables to later ones apply as those join in, and the
+            // rest as residual filters.
             Box::new(NestedLoopJoin::new(
                 left_exec,
                 right_exec,
-                cond_expr,
-                fns.clone(),
+                Expr::Lit(Value::Int(1)),
             ))
+        } else {
+            Box::new(SortMergeJoin::new(left_exec, right_exec, lkeys, rkeys))
         };
         joined = Some(out);
         joined_aliases.push(alias.clone());
@@ -435,10 +437,10 @@ fn run_from_where(
     if !residual_all.is_empty() {
         let compiled = residual_all
             .iter()
-            .map(|c| compile(c, scope, 0))
+            .map(|c| compile(c, scope, 0, fns))
             .collect::<Result<Vec<_>>>()?;
         let pred = Expr::and_all(compiled);
-        result = Box::new(Filter::new(result, pred, fns.clone()));
+        result = Box::new(Filter::new(result, pred));
     }
     Ok(result)
 }
@@ -478,10 +480,13 @@ fn propagate_constants(
 ) -> Result<()> {
     let mut equated: Vec<(usize, usize)> = Vec::new();
     for (_, _, cond) in join_conds {
+        // Only plain `col = col` keys equate values; `col = col + k`
+        // relates them without making them equal.
         if let SqlExpr::Bin(BinOp::Eq, l, r) = cond {
-            let (li, ri) = (col_index(l, scope)?, col_index(r, scope)?);
-            if scope.dtype(li) == scope.dtype(ri) {
-                equated.push((li, ri));
+            if let (Ok(li), Ok(ri)) = (col_index(l, scope), col_index(r, scope)) {
+                if scope.dtype(li) == scope.dtype(ri) {
+                    equated.push((li, ri));
+                }
             }
         }
     }
@@ -528,12 +533,30 @@ fn propagate_constants(
     Ok(())
 }
 
-fn is_col_eq_col(e: &SqlExpr) -> bool {
+/// Whether `e` can be a sort-merge join key: an equality whose sides are
+/// each a [`key_column`] expression.
+fn is_join_key(e: &SqlExpr, scope: &Scope) -> bool {
     matches!(
         e,
         SqlExpr::Bin(BinOp::Eq, l, r)
-            if matches!(**l, SqlExpr::Col { .. }) && matches!(**r, SqlExpr::Col { .. })
+            if key_column(l, scope).is_some() && key_column(r, scope).is_some()
     )
+}
+
+/// The column of one side of a join key: a bare column, or an `Int` or
+/// `Date` column plus or minus an integer literal (day arithmetic for
+/// dates), which is defined for every value of the column.
+fn key_column(e: &SqlExpr, scope: &Scope) -> Option<usize> {
+    let col = |e: &SqlExpr| col_index(e, scope).ok();
+    match e {
+        SqlExpr::Col { .. } => col(e),
+        SqlExpr::Bin(BinOp::Add | BinOp::Sub, c, k)
+            if matches!(**k, SqlExpr::Lit(Value::Int(_))) =>
+        {
+            col(c).filter(|&i| matches!(scope.dtype(i), DataType::Int | DataType::Date))
+        }
+        _ => None,
+    }
 }
 
 fn col_index(e: &SqlExpr, scope: &Scope) -> Result<usize> {
@@ -559,10 +582,10 @@ fn filter_rows(
     let (offset, _arity) = scope.tables[alias];
     let compiled = preds
         .iter()
-        .map(|p| compile(p, scope, offset))
+        .map(|p| compile(p, scope, offset, fns))
         .collect::<Result<Vec<_>>>()?;
     let pred = Expr::and_all(compiled);
-    Ok(Box::new(Filter::new(base, pred, fns.clone())))
+    Ok(Box::new(Filter::new(base, pred)))
 }
 
 /// Scan one table with pushed-down predicates.
@@ -702,10 +725,10 @@ fn scan_table(
     }
     let compiled = preds
         .iter()
-        .map(|p| compile(p, scope, offset))
+        .map(|p| compile(p, scope, offset, fns))
         .collect::<Result<Vec<_>>>()?;
     let pred = Expr::and_all(compiled);
-    Ok(Box::new(Filter::new(base, pred, fns.clone())))
+    Ok(Box::new(Filter::new(base, pred)))
 }
 
 /// Fan a multi-segment cluster-range scan across threads.
@@ -824,6 +847,17 @@ fn project(
             })
         })
         .collect();
+    // The select list and the ORDER BY keys compile once per statement.
+    let items = stmt
+        .items
+        .iter()
+        .map(|i| Item::compile(&i.expr, scope, fns))
+        .collect::<Result<Vec<_>>>()?;
+    let order_items = stmt
+        .order_by
+        .iter()
+        .map(|(e, asc)| Ok((Item::compile(e, scope, fns)?, *asc)))
+        .collect::<Result<Vec<_>>>()?;
 
     // LIMIT without grouping or ordering can stop pulling from the pipeline
     // as soon as enough rows have arrived — with streaming scans underneath,
@@ -837,74 +871,66 @@ fn project(
         input.collect::<relstore::Result<Vec<Row>>>()?
     };
 
-    let groups: Vec<Vec<Row>> = if grouped {
-        if stmt.group_by.is_empty() {
-            vec![rows] // single global group (kept even when empty)
-        } else {
-            let keys = stmt
-                .group_by
-                .iter()
-                .map(|g| compile(g, scope, 0))
-                .collect::<Result<Vec<_>>>()?;
-            let mut index: HashMap<String, usize> = HashMap::new();
-            let mut out: Vec<Vec<Row>> = Vec::new();
-            for row in rows {
-                let kv = keys
-                    .iter()
-                    .map(|k| k.eval(&row, fns))
-                    .collect::<relstore::Result<Vec<_>>>()?;
-                let fp = format!("{kv:?}");
-                let gi = *index.entry(fp).or_insert_with(|| {
-                    out.push(Vec::new());
-                    out.len() - 1
-                });
-                out[gi].push(row);
-            }
-            out
-        }
-    } else {
-        rows.into_iter().map(|r| vec![r]).collect()
-    };
-
-    let mut out_rows = Vec::with_capacity(groups.len());
-    let mut order_keys: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
-    for group in &groups {
-        if group.is_empty() && !stmt.group_by.is_empty() {
-            continue;
-        }
-        let mut row_out = Vec::with_capacity(stmt.items.len());
-        for item in &stmt.items {
-            row_out.push(eval_item(&item.expr, group, scope, fns)?);
-        }
-        if !stmt.order_by.is_empty() {
-            let mut keys = Vec::with_capacity(stmt.order_by.len());
-            for (e, _) in &stmt.order_by {
-                match eval_item(e, group, scope, fns)? {
-                    SqlValue::Rel(v) => keys.push(v),
-                    SqlValue::Xml(_) => {
-                        return Err(SqlError::Xml("cannot ORDER BY an XML value".into()))
-                    }
+    // One output row per group: a single global group (kept even when
+    // empty) without GROUP BY, one per distinct key with it; without
+    // aggregates every row is its own group.
+    let output = |group: &[Row]| -> Result<(Vec<SqlValue>, Vec<Value>)> {
+        let values = items
+            .iter()
+            .map(|i| i.eval(group))
+            .collect::<Result<Vec<_>>>()?;
+        let mut keys = Vec::with_capacity(order_items.len());
+        for (item, _) in &order_items {
+            match item.eval(group)? {
+                SqlValue::Rel(v) => keys.push(v),
+                SqlValue::Xml(_) => {
+                    return Err(SqlError::Xml("cannot ORDER BY an XML value".into()))
                 }
             }
-            order_keys.push(keys);
         }
-        out_rows.push(row_out);
-    }
+        Ok((values, keys))
+    };
+    let mut out: Vec<(Vec<SqlValue>, Vec<Value>)> = if !grouped {
+        rows.iter()
+            .map(|row| output(std::slice::from_ref(row)))
+            .collect::<Result<_>>()?
+    } else if stmt.group_by.is_empty() {
+        vec![output(&rows)?]
+    } else {
+        let keys = stmt
+            .group_by
+            .iter()
+            .map(|g| compile(g, scope, 0, fns))
+            .collect::<Result<Vec<_>>>()?;
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut groups: Vec<Vec<Row>> = Vec::new();
+        for row in rows {
+            let kv = keys
+                .iter()
+                .map(|k| k.eval(&row))
+                .collect::<relstore::Result<Vec<_>>>()?;
+            let gi = *index.entry(format!("{kv:?}")).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[gi].push(row);
+        }
+        groups.iter().map(|g| output(g)).collect::<Result<_>>()?
+    };
 
-    if !stmt.order_by.is_empty() {
-        let mut idx: Vec<usize> = (0..out_rows.len()).collect();
-        idx.sort_by(|&a, &b| {
-            for (k, (_, asc)) in stmt.order_by.iter().enumerate() {
-                let ord = order_keys[a][k].total_cmp(&order_keys[b][k]);
+    if !order_items.is_empty() {
+        out.sort_by(|(_, a), (_, b)| {
+            for (k, (_, asc)) in order_items.iter().enumerate() {
+                let ord = a[k].total_cmp(&b[k]);
                 let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
+                if ord != Ordering::Equal {
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
-        out_rows = idx.into_iter().map(|i| out_rows[i].clone()).collect();
     }
+    let mut out_rows: Vec<Vec<SqlValue>> = out.into_iter().map(|(values, _)| values).collect();
     if let Some(n) = stmt.limit {
         out_rows.truncate(n);
     }
@@ -914,98 +940,113 @@ fn project(
     })
 }
 
-/// Evaluate one select item over a group of rows. Scalar leaves read the
-/// first row; aggregates fold over all rows.
-fn eval_item(e: &SqlExpr, group: &[Row], scope: &Scope, fns: &Arc<FnRegistry>) -> Result<SqlValue> {
-    match e {
-        SqlExpr::Agg(func, arg, _star) => {
-            let compiled = compile(arg, scope, 0)?;
-            let spec = AggSpec {
+/// A select-list (or ORDER BY) item, compiled once per statement.
+enum Item {
+    /// A scalar expression over the group's first row (SQL requires these
+    /// to be grouping columns; we follow SQLite in not enforcing that).
+    Scalar(Expr),
+    /// An aggregate folded over every row of the group.
+    Agg {
+        func: AggFunc,
+        arg: Expr,
+        distinct: bool,
+    },
+    /// `XMLAgg(item)`: the item evaluated per row, concatenated.
+    XmlAgg(Box<Item>),
+    /// `XMLElement(Name ..., XMLAttributes(...), content...)`.
+    XmlElement {
+        name: String,
+        attrs: Vec<(String, Item)>,
+        content: Vec<Item>,
+    },
+}
+
+impl Item {
+    fn compile(e: &SqlExpr, scope: &Scope, fns: &FnRegistry) -> Result<Item> {
+        Ok(match e {
+            SqlExpr::Agg(func, arg, _star) => Item::Agg {
                 func: *func,
-                arg: compiled,
-            };
-            let agg = relstore::exec::GroupAggregate::new(
-                Box::new(SeqScan::from_rows(group.to_vec())),
-                vec![],
-                vec![spec],
-                fns.clone(),
-            )
-            .collect::<relstore::Result<Vec<Row>>>()?;
-            Ok(SqlValue::Rel(agg[0][0].clone()))
-        }
-        SqlExpr::AggDistinct(func, arg) => {
-            let compiled = compile(arg, scope, 0)?;
-            // Deduplicate argument values, then aggregate the survivors.
-            let mut seen: Vec<Value> = Vec::new();
-            for row in group {
-                let v = compiled.eval(row, fns).map_err(SqlError::from)?;
-                if v.is_null() {
-                    continue;
-                }
-                if !seen
+                arg: compile(arg, scope, 0, fns)?,
+                distinct: false,
+            },
+            SqlExpr::AggDistinct(func, arg) => Item::Agg {
+                func: *func,
+                arg: compile(arg, scope, 0, fns)?,
+                distinct: true,
+            },
+            SqlExpr::XmlAgg(arg) => Item::XmlAgg(Box::new(Item::compile(arg, scope, fns)?)),
+            SqlExpr::XmlElement {
+                name,
+                attrs,
+                content,
+            } => Item::XmlElement {
+                name: name.clone(),
+                attrs: attrs
                     .iter()
-                    .any(|s| s.total_cmp(&v) == std::cmp::Ordering::Equal)
-                {
-                    seen.push(v);
-                }
+                    .map(|(a, e)| Ok((a.clone(), Item::compile(e, scope, fns)?)))
+                    .collect::<Result<_>>()?,
+                content: content
+                    .iter()
+                    .map(|c| Item::compile(c, scope, fns))
+                    .collect::<Result<_>>()?,
+            },
+            _ => Item::Scalar(compile(e, scope, 0, fns)?),
+        })
+    }
+
+    /// Evaluate over one group of rows (one row when nothing aggregates).
+    fn eval(&self, group: &[Row]) -> Result<SqlValue> {
+        match self {
+            Item::Scalar(e) => {
+                let row: &[Value] = group.first().map_or(&[], |r| r.as_slice());
+                Ok(SqlValue::Rel(e.eval(row)?))
             }
-            let distinct_rows: Vec<Row> = seen.into_iter().map(|v| vec![v]).collect();
-            let spec = AggSpec {
-                func: *func,
-                arg: Expr::Col(0),
-            };
-            let agg = relstore::exec::GroupAggregate::new(
-                Box::new(SeqScan::from_rows(distinct_rows)),
-                vec![],
-                vec![spec],
-                fns.clone(),
-            )
-            .collect::<relstore::Result<Vec<Row>>>()?;
-            Ok(SqlValue::Rel(agg[0][0].clone()))
-        }
-        SqlExpr::XmlAgg(arg) => {
-            let mut nodes = Vec::new();
-            for row in group {
-                match eval_item(arg, std::slice::from_ref(row), scope, fns)? {
-                    SqlValue::Xml(ns) => nodes.extend(ns),
-                    SqlValue::Rel(Value::Null) => {}
-                    SqlValue::Rel(v) => nodes.push(Node::Text(v.to_string())),
+            Item::Agg {
+                func,
+                arg,
+                distinct,
+            } => {
+                let mut acc = Accumulator::new(*func, *distinct);
+                for row in group {
+                    acc.update(arg, row)?;
                 }
+                Ok(SqlValue::Rel(acc.finish()))
             }
-            Ok(SqlValue::Xml(nodes))
-        }
-        SqlExpr::XmlElement {
-            name,
-            attrs,
-            content,
-        } => {
-            let mut elem = Element::new(name.clone());
-            for (aname, aexpr) in attrs {
-                match eval_item(aexpr, group, scope, fns)? {
-                    SqlValue::Rel(Value::Null) => {} // NULL attrs omitted
-                    SqlValue::Rel(v) => elem.set_attr(aname.clone(), v.to_string()),
-                    SqlValue::Xml(_) => {
-                        return Err(SqlError::Xml("attribute value cannot be XML".into()))
+            Item::XmlAgg(inner) => {
+                let mut nodes = Vec::new();
+                for row in group {
+                    match inner.eval(std::slice::from_ref(row))? {
+                        SqlValue::Xml(ns) => nodes.extend(ns),
+                        SqlValue::Rel(Value::Null) => {}
+                        SqlValue::Rel(v) => nodes.push(Node::Text(v.to_string())),
                     }
                 }
+                Ok(SqlValue::Xml(nodes))
             }
-            for c in content {
-                match eval_item(c, group, scope, fns)? {
-                    SqlValue::Rel(Value::Null) => {}
-                    SqlValue::Rel(v) => elem.children.push(Node::Text(v.to_string())),
-                    SqlValue::Xml(ns) => elem.children.extend(ns),
+            Item::XmlElement {
+                name,
+                attrs,
+                content,
+            } => {
+                let mut elem = Element::new(name.clone());
+                for (aname, aitem) in attrs {
+                    match aitem.eval(group)? {
+                        SqlValue::Rel(Value::Null) => {} // NULL attrs omitted
+                        SqlValue::Rel(v) => elem.set_attr(aname.clone(), v.to_string()),
+                        SqlValue::Xml(_) => {
+                            return Err(SqlError::Xml("attribute value cannot be XML".into()))
+                        }
+                    }
                 }
+                for c in content {
+                    match c.eval(group)? {
+                        SqlValue::Rel(Value::Null) => {}
+                        SqlValue::Rel(v) => elem.children.push(Node::Text(v.to_string())),
+                        SqlValue::Xml(ns) => elem.children.extend(ns),
+                    }
+                }
+                Ok(SqlValue::Xml(vec![Node::Element(elem)]))
             }
-            Ok(SqlValue::Xml(vec![Node::Element(elem)]))
-        }
-        // Scalar expressions: evaluate over the group's first row (SQL
-        // requires these to be grouping columns; we follow SQLite in not
-        // enforcing that).
-        _ => {
-            let compiled = compile(e, scope, 0)?;
-            let row: &[Value] = group.first().map(|r| r.as_slice()).unwrap_or(&[]);
-            let v = compiled.eval(row, fns).map_err(SqlError::from)?;
-            Ok(SqlValue::Rel(v))
         }
     }
 }

@@ -6,13 +6,13 @@
 //! binding and structure construction *inside* the relational engine is the
 //! high-performance approach the paper adopts (after reference 34 in its
 //! references), so this crate implements exactly that: a SQL parser, a
-//! small rule-based planner (predicate pushdown, index selection,
-//! sort-merge joins on equality keys), and an executor whose select list
+//! small planner (predicate pushdown, cost-based access paths, sort-merge
+//! joins on composite equality keys), and an executor whose select list
 //! can construct XML values and aggregate them per group.
 //!
 //! Scalar UDFs (the paper's temporal built-ins: `toverlaps`, `tcontains`,
 //! ...) are resolved through a [`relstore::expr::FnRegistry`] supplied by
-//! the caller.
+//! the caller, once per statement when it is compiled.
 //!
 //! # Example
 //!

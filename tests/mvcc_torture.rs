@@ -15,8 +15,8 @@
 //!    where the CI gate runs it),
 //!  * crash-at-every-fsync while readers are in flight: recovery must
 //!    land on a committed prefix that covers every snapshot the store
-//!    ever returned (pins force durability, so a returned snapshot can
-//!    never be lost to a crash).
+//!    ever returned (pins land on the last durable commit, so a returned
+//!    snapshot can never be lost to a crash).
 //!
 //! Plus the PR-5 degradation regression: a quarantined compressed block
 //! read while a snapshot is open must not leak the live view's data loss
@@ -28,7 +28,7 @@ use relstore::wal::{MemLog, WalConfig, WalPager};
 use relstore::{BufferPool, Database, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use temporal::Date;
 
 /// Canonical whole-store image: every table, rows rendered and sorted,
@@ -156,6 +156,9 @@ fn torture(seed: u64, ops: usize, readers: usize, keys: i64) -> u64 {
     let recorded: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
     let done = AtomicBool::new(false);
     let compared = AtomicU64::new(0);
+    // Every reader pins once before the writer starts, so even a short
+    // run compares at least one snapshot per reader.
+    let start = Barrier::new(readers + 1);
     {
         let mut rec = recorded.lock().unwrap();
         let h = fnv(&dump(a.database()));
@@ -168,12 +171,17 @@ fn torture(seed: u64, ops: usize, readers: usize, keys: i64) -> u64 {
     let recorded = &recorded;
     let done = &done;
     let compared = &compared;
+    let start = &start;
     std::thread::scope(|s| {
         for r in 0..readers {
             s.spawn(move || {
                 let mut rng = Lcg(seed ^ (0x9e37 + r as u64));
-                while !done.load(Ordering::Acquire) {
+                let mut first = true;
+                while first || !done.load(Ordering::Acquire) {
                     let snap = a.begin_snapshot().expect("pin never fails on good media");
+                    if std::mem::take(&mut first) {
+                        start.wait();
+                    }
                     let lsn = snap.commit_lsn();
                     let got = fnv(&dump(snap.database()));
                     // The writer records an op's LSNs after the op returns;
@@ -223,6 +231,7 @@ fn torture(seed: u64, ops: usize, readers: usize, keys: i64) -> u64 {
             }
         }
         let _guard = DoneGuard(done);
+        start.wait();
 
         let mut rng = Lcg(seed);
         let mut alive = std::collections::BTreeSet::new();
@@ -321,6 +330,60 @@ fn temporal_query_on_snapshot_ignores_concurrent_ingest() {
     assert!(!render(&frozen).contains("9000"), "{:?}", frozen.rows);
 }
 
+/// Snapshots pin the last durable commit while the translator reads the
+/// live segment catalog, so an archival must be durable before
+/// `maybe_archive` returns: otherwise a snapshot begun right after it sits
+/// before the archival, the translator restricts Q1 to the new segment,
+/// and the snapshot finds nothing there.
+#[test]
+fn snapshot_after_archival_sees_the_new_segment() {
+    let mut a = archis_mem(64);
+    a.create_relation(RelationSpec::employee()).unwrap();
+    let day = |n: i32| Date::from_day_number(Date::parse("1993-01-01").unwrap().day_number() + n);
+    for id in 0..10i64 {
+        a.insert(
+            "employee",
+            id,
+            vec![
+                ("name".into(), Value::Str(format!("e{id}"))),
+                ("salary".into(), Value::Int(1000 + id)),
+                ("title".into(), Value::Str("Engineer".into())),
+                ("deptno".into(), Value::Str("d001".into())),
+            ],
+            day(0),
+        )
+        .unwrap();
+    }
+    for round in 1..=3i64 {
+        for id in 0..10i64 {
+            let salary = Value::Int(1000 * (round + 1) + id);
+            a.update(
+                "employee",
+                id,
+                vec![("salary".into(), salary)],
+                day(10 * round as i32),
+            )
+            .unwrap();
+        }
+    }
+    // Read-your-writes for the ingest above: the archival below is then
+    // the only commit that is not durable unless `maybe_archive` flushes.
+    a.database().pool().pager().sync().unwrap();
+    assert!(a.maybe_archive("employee", day(40)).unwrap() > 0);
+
+    let snap = a.begin_snapshot().unwrap();
+    let q = archis::queries::q1_xquery(3, day(15));
+    let sql = a.translate(&q).unwrap();
+    assert!(
+        sql.contains("segno = 1"),
+        "Q1 is restricted to the new segment: {sql}"
+    );
+    let rows = snap.query(&q).unwrap();
+    let render = format!("{:?}", rows.rows);
+    assert!(render.contains("2003"), "{render}");
+    assert_eq!(rows.rows.len(), 1, "{render}");
+}
+
 // ---------------------------------------------------------------------------
 // Crash torture: fsync-by-fsync, with readers in flight.
 // ---------------------------------------------------------------------------
@@ -356,8 +419,8 @@ mod crash {
     /// Fault-free serial run of `ops` seeded operations; records the dump
     /// at every commit LSN. This is the full oracle: any crashed
     /// concurrent run of the same seed executes a prefix of exactly this
-    /// LSN/state sequence (readers never change LSN assignment — pins
-    /// only force flushes).
+    /// LSN/state sequence (readers never change LSN assignment — pins do
+    /// no I/O at all).
     fn shadow(seed: u64, ops: usize, group_commit: usize) -> (BTreeMap<u64, String>, u64) {
         let m = media(0);
         let mut a = archis_on(&m, group_commit).unwrap();
@@ -410,13 +473,13 @@ mod crash {
     /// Crash at every fsync boundary while snapshot readers run. Recovery
     /// must land on a state the serial oracle produced, at an LSN at
     /// least as new as every snapshot the store returned before the crash
-    /// — returned pins are durable by construction, so no crash may
-    /// "unhappen" them.
+    /// — pins land on the last durable commit by construction, so no
+    /// crash may "unhappen" them.
     #[test]
     fn crash_at_every_fsync_recovers_prefix_covering_returned_snapshots() {
         const SEED: u64 = 7;
         const OPS: usize = 12;
-        const GROUP: usize = 2; // >1 so reader pins force real flushes
+        const GROUP: usize = 2; // >1 so pins trail the newest commit
         let (states, total_syncs) = shadow(SEED, OPS, GROUP);
         assert!(total_syncs > 0);
 
@@ -442,7 +505,7 @@ mod crash {
                     for _ in 0..2 {
                         s.spawn(move || {
                             while !done.load(Ordering::Acquire) {
-                                // A successful pin was forced durable, so it
+                                // A pin lands on a durable commit, so it
                                 // counts as "returned" even if the media dies
                                 // before the dump below finishes.
                                 let snap = match a.begin_snapshot() {
