@@ -184,6 +184,10 @@ pub struct ArchIS {
     relations: HashMap<String, RelationSpec>,
     archivers: HashMap<String, archive::Archiver>,
     compressed: HashMap<String, CompressedStore>,
+    /// Attribute table → relation, for every table whose archived rows a
+    /// [`CompressedStore`] holds. Filled when compression runs or
+    /// reattaches, so a query pays one map probe per FROM table.
+    compressed_tables: HashMap<String, String>,
 }
 
 impl ArchIS {
@@ -199,6 +203,7 @@ impl ArchIS {
             relations: HashMap::new(),
             archivers: HashMap::new(),
             compressed: HashMap::new(),
+            compressed_tables: HashMap::new(),
         }
     }
 
@@ -237,6 +242,7 @@ impl ArchIS {
             relations: HashMap::new(),
             archivers: HashMap::new(),
             compressed: HashMap::new(),
+            compressed_tables: HashMap::new(),
         };
         archis.restore_meta()?;
         Ok(archis)
@@ -418,7 +424,7 @@ impl ArchIS {
             let archiver = archive::Archiver::reopen(&spec, self.config.umin, &rows);
             // Reattach compressed stores if their blob tables exist.
             if let Some(store) = CompressedStore::reattach(&self.db, &spec).transpose()? {
-                self.compressed.insert(spec.name.clone(), store);
+                self.attach_compressed(store);
             }
             self.archivers.insert(spec.name.clone(), archiver);
             self.relations.insert(spec.name.clone(), spec);
@@ -624,38 +630,24 @@ impl ArchIS {
     /// Execute raw SQL/SQL-XML against the database.
     ///
     /// History tables whose archived segments were BlockZIP-compressed are
-    /// served through an uncompression override (paper §8.2's table
-    /// functions): the referenced attribute tables are materialized as
-    /// live rows + decompressed archived rows before planning.
+    /// read as their planned table scan followed by the compressed blocks
+    /// the same `(segno, id)` bounds select (paper §8.2's uncompression
+    /// table functions, as the engine's [`sqlxml::engine::SideStorage`]):
+    /// only those blocks are decompressed, and only rows passing the
+    /// pushed-down predicates are copied out of them.
     pub fn execute_sql(&self, sql: &str) -> Result<QueryResult> {
         self.execute_sql_on(&self.db, sql)
     }
 
     /// [`ArchIS::execute_sql`] against an explicit database view — the
     /// live database or a frozen snapshot of it (see
-    /// [`ArchIS::begin_snapshot`]). Compressed-segment overrides are
-    /// materialized from the same view, so a snapshot query decompresses
-    /// the blocks as of its pinned commit.
+    /// [`ArchIS::begin_snapshot`]). Compressed blocks are read through the
+    /// same view, so a snapshot query decompresses the blocks as of its
+    /// pinned commit.
     fn execute_sql_on(&self, db: &Database, sql: &str) -> Result<QueryResult> {
         let stmt = sqlxml::parse_sql(sql).map_err(ArchError::from)?;
-        let mut overrides: HashMap<String, Vec<Vec<relstore::Value>>> = HashMap::new();
-        for (tname, _alias) in &stmt.from {
-            if overrides.contains_key(tname) {
-                continue;
-            }
-            for (rel, store) in &self.compressed {
-                let spec = &self.relations[rel];
-                for (attr, _) in &spec.attrs {
-                    if *tname == htable::attr_table(spec, attr) {
-                        let mut rows = db.table(tname)?.scan()?;
-                        rows.extend(store.scan_all(db, attr)?);
-                        overrides.insert(tname.clone(), rows);
-                    }
-                }
-            }
-        }
         Ok(sqlxml::engine::execute_stmt_with(
-            db, &stmt, &self.fns, &overrides,
+            db, &stmt, &self.fns, self,
         )?)
     }
 
@@ -688,12 +680,23 @@ impl ArchIS {
         let archiver = self.archiver(relation)?;
         let store = CompressedStore::build(&self.db, &spec, archiver, self.config.block_size)?;
         let blocks = store.block_count();
-        self.compressed.insert(relation.to_string(), store);
+        self.attach_compressed(store);
         // Compression moved the archived rows into blocks; refresh the
         // stats catalog so per-segment block counts are recorded.
         self.recompute_stats(relation)?;
         self.txn_commit_durable()?;
         Ok(blocks)
+    }
+
+    /// Register a relation's compressed store as the side storage of its
+    /// attribute tables.
+    fn attach_compressed(&mut self, store: CompressedStore) {
+        let spec = store.spec();
+        for (attr, _) in &spec.attrs {
+            self.compressed_tables
+                .insert(htable::attr_table(spec, attr), spec.name.clone());
+        }
+        self.compressed.insert(spec.name.clone(), store);
     }
 
     /// The compressed store of a relation, if [`ArchIS::compress_archived`]
@@ -855,6 +858,21 @@ impl ArchIS {
     /// The pinned `current-date` used for *now* semantics.
     pub fn now(&self) -> Date {
         self.config.now
+    }
+}
+
+/// Every compressed attribute table's archived rows come from its
+/// relation's [`CompressedStore`]; other tables have no side storage.
+impl sqlxml::engine::SideStorage for ArchIS {
+    fn scan(
+        &self,
+        db: &Database,
+        table: &str,
+        bounds: &[relstore::planner::ColumnBound],
+        pred: Option<&relstore::expr::Expr>,
+    ) -> Option<sqlxml::Result<(relstore::exec::Executor, relstore::planner::PlanEntry)>> {
+        let relation = self.compressed_tables.get(table)?;
+        self.compressed.get(relation)?.scan(db, table, bounds, pred)
     }
 }
 

@@ -9,7 +9,10 @@
 //!    clustered key become access-path candidates that
 //!    [`relstore::planner`] costs against a sequential scan using the
 //!    per-segment statistics catalog (the paper's `segno = sn` segment
-//!    restriction, §6.3, rides in as a candidate bound),
+//!    restriction, §6.3, rides in as a candidate bound); a table with
+//!    rows outside its own pages — ArchIS's BlockZIP-compressed archived
+//!    segments — reads them through its [`SideStorage`] under the same
+//!    merged bounds and predicates, after the planned base scan,
 //! 2. equality join conditions execute as sort-merge joins — "very fast
 //!    (in linear time) since every table is already sorted on its id
 //!    attribute" (§5.3). A condition is a join key when each side is one
@@ -119,24 +122,55 @@ pub fn execute_stmt(
     stmt: &SelectStmt,
     fns: &Arc<FnRegistry>,
 ) -> Result<QueryResult> {
-    execute_stmt_with(db, stmt, fns, &HashMap::new())
+    execute_stmt_with(db, stmt, fns, &())
 }
 
-/// Execute with **scan overrides**: tables named in `overrides` read the
-/// supplied rows instead of their base storage (predicates are applied on
-/// top; index selection is skipped). This is how ArchIS plugs in its
-/// uncompression table functions (paper §8.2: "user-defined uncompression
-/// table functions are used to extract records from each BLOB") — the
-/// caller materializes live + decompressed rows for the referenced
-/// history tables.
+/// Rows a table holds outside its own pages — ArchIS's BlockZIP-compressed
+/// archived segments (paper §8.2, read through "user-defined uncompression
+/// table functions"). The engine plans the table's own storage as usual
+/// and then asks the side storage for the rest under the same bounds; the
+/// two sources are disjoint, so the table's scan is their concatenation.
+pub trait SideStorage {
+    /// The side rows of `table` as read through `db` (the live database or
+    /// a pinned snapshot of it), or `None` when `table` has no side
+    /// storage. `bounds` are the merged key-column bounds of the pushed-down
+    /// predicates, `pred` those predicates compiled over the table's own
+    /// row (`None` when there are none). Every row returned must pass
+    /// `pred`; the [`planner::PlanEntry`] is appended to the EXPLAIN log.
+    fn scan(
+        &self,
+        db: &Database,
+        table: &str,
+        bounds: &[planner::ColumnBound],
+        pred: Option<&Expr>,
+    ) -> Option<Result<(Executor, planner::PlanEntry)>>;
+}
+
+/// No side storage: every table is exactly its own pages.
+impl SideStorage for () {
+    fn scan(
+        &self,
+        _db: &Database,
+        _table: &str,
+        _bounds: &[planner::ColumnBound],
+        _pred: Option<&Expr>,
+    ) -> Option<Result<(Executor, planner::PlanEntry)>> {
+        None
+    }
+}
+
+/// Execute with **side storage**: every table `side` answers for is read
+/// as its planned base scan followed by the side rows within the same
+/// bounds (see [`SideStorage`]). This is how ArchIS serves history tables
+/// whose archived segments were compressed.
 pub fn execute_stmt_with(
     db: &Database,
     stmt: &SelectStmt,
     fns: &Arc<FnRegistry>,
-    overrides: &HashMap<String, Vec<Row>>,
+    side: &dyn SideStorage,
 ) -> Result<QueryResult> {
     let scope = Scope::build(db, stmt)?;
-    let exec = run_from_where(db, stmt, &scope, fns, overrides)?;
+    let exec = run_from_where(db, stmt, &scope, fns, side)?;
     project(stmt, &scope, exec, fns)
 }
 
@@ -339,7 +373,7 @@ fn run_from_where(
     stmt: &SelectStmt,
     scope: &Scope,
     fns: &Arc<FnRegistry>,
-    overrides: &HashMap<String, Vec<Row>>,
+    side: &dyn SideStorage,
 ) -> Result<Executor> {
     let mut table_preds: HashMap<String, Vec<SqlExpr>> = HashMap::new();
     let mut join_conds: Vec<(String, String, SqlExpr)> = Vec::new();
@@ -372,10 +406,7 @@ fn run_from_where(
     for (tname, alias) in &stmt.from {
         let t = db.table(tname)?;
         let preds = table_preds.remove(alias).unwrap_or_default();
-        let exec = match overrides.get(tname) {
-            Some(provided) => filter_rows(provided.clone(), alias, &preds, scope, fns)?,
-            None => scan_table(db, &t, alias, &preds, scope, fns)?,
-        };
+        let exec = scan_table(db, &t, alias, &preds, scope, fns, side)?;
         sources.insert(alias.clone(), exec);
     }
 
@@ -566,28 +597,6 @@ fn col_index(e: &SqlExpr, scope: &Scope) -> Result<usize> {
     }
 }
 
-/// Apply pushed-down predicates to already-materialized rows (the scan
-/// path for override-provided tables).
-fn filter_rows(
-    rows: Vec<Row>,
-    alias: &str,
-    preds: &[SqlExpr],
-    scope: &Scope,
-    fns: &Arc<FnRegistry>,
-) -> Result<Executor> {
-    let base: Executor = Box::new(SeqScan::from_rows(rows));
-    if preds.is_empty() {
-        return Ok(base);
-    }
-    let (offset, _arity) = scope.tables[alias];
-    let compiled = preds
-        .iter()
-        .map(|p| compile(p, scope, offset, fns))
-        .collect::<Result<Vec<_>>>()?;
-    let pred = Expr::and_all(compiled);
-    Ok(Box::new(Filter::new(base, pred)))
-}
-
 /// Scan one table with pushed-down predicates.
 ///
 /// The bounds the predicates put on key columns become
@@ -596,7 +605,9 @@ fn filter_rows(
 /// column bound; [`planner::choose_path`] costs them against a sequential
 /// scan using the table's per-segment statistics and records the decision
 /// in the EXPLAIN plan log. Returns a streaming executor: base scans pull
-/// pages on demand, so a downstream LIMIT stops the scan early.
+/// pages on demand, so a downstream LIMIT stops the scan early. When
+/// `side` holds rows of the table too, they follow the base scan, read
+/// under the same merged bounds and filtered by the same predicates.
 fn scan_table(
     db: &Database,
     table: &Table,
@@ -604,6 +615,7 @@ fn scan_table(
     preds: &[SqlExpr],
     scope: &Scope,
     fns: &Arc<FnRegistry>,
+    side: &dyn SideStorage,
 ) -> Result<Executor> {
     let (offset, _arity) = scope.tables[alias];
     let index_defs = table.index_defs();
@@ -720,15 +732,28 @@ fn scan_table(
     // Apply ALL pushed predicates (the access-path bound is a superset
     // filter; re-checking is cheap and keeps correctness independent of
     // planning).
-    if preds.is_empty() {
-        return Ok(base);
+    let pred = match preds {
+        [] => None,
+        _ => Some(Expr::and_all(
+            preds
+                .iter()
+                .map(|p| compile(p, scope, offset, fns))
+                .collect::<Result<Vec<_>>>()?,
+        )),
+    };
+    let side_rows = side.scan(db, table.name(), &bounded, pred.as_ref());
+    let base: Executor = match pred {
+        Some(pred) => Box::new(Filter::new(base, pred)),
+        None => base,
+    };
+    match side_rows {
+        None => Ok(base),
+        Some(side_rows) => {
+            let (rows, entry) = side_rows?;
+            planner::record_plan(entry);
+            Ok(Box::new(base.chain(rows)))
+        }
     }
-    let compiled = preds
-        .iter()
-        .map(|p| compile(p, scope, offset, fns))
-        .collect::<Result<Vec<_>>>()?;
-    let pred = Expr::and_all(compiled);
-    Ok(Box::new(Filter::new(base, pred)))
 }
 
 /// Fan a multi-segment cluster-range scan across threads.

@@ -38,7 +38,7 @@
 pub mod engine;
 pub mod parser;
 
-pub use engine::{execute, execute_stmt, execute_stmt_with, QueryResult, SqlValue};
+pub use engine::{execute, execute_stmt, execute_stmt_with, QueryResult, SideStorage, SqlValue};
 pub use parser::{parse_sql, SelectStmt};
 
 use std::fmt;

@@ -4,9 +4,11 @@
 //! to pick *where* the bytes come from, never *which* bytes come back.
 //! Includes pinned MVCC snapshots (the stats catalog at head describes
 //! segments the snapshot cannot see; pruning must stay conservative
-//! because segment extremes only ever widen) and the I/O regression the
-//! PR's pruning claim rests on: a fully-pruned segment contributes zero
-//! block reads.
+//! because segment extremes only ever widen), BlockZIP-compressed stores
+//! against their uncompressed twins, and the block-touch regressions the
+//! compressed read path rests on: a fully-pruned segment contributes zero
+//! block reads, a point query one or two blocks, a keyed history at most
+//! one per segment, a window only its un-pruned segments' blocks.
 
 use archis::{queries as q, ArchConfig, ArchIS, Change, RelationSpec};
 use proptest::prelude::*;
@@ -137,6 +139,39 @@ fn render(out: sqlxml::QueryResult) -> String {
     format!("{xml}\n--\n{rows}")
 }
 
+/// [`render`] up to row order: the XML fragments and the rows, each
+/// sorted — the comparison for queries without a total ORDER BY.
+fn render_unordered(out: sqlxml::QueryResult) -> String {
+    let mut xml = out.xml_fragments();
+    xml.sort();
+    let mut rows: Vec<String> = out
+        .rows
+        .iter()
+        .map(|r| r.iter().map(|v| v.render()).collect::<Vec<_>>().join("|"))
+        .collect();
+    rows.sort();
+    format!("{}\n--\n{}", xml.join("\n"), rows.join("\n"))
+}
+
+/// An ArchIS on a WAL pager over memory — the MVCC machinery pins a
+/// commit LSN in the log, so snapshots need one.
+fn wal_archis() -> ArchIS {
+    let pager = Arc::new(
+        WalPager::open(
+            Arc::new(MemPager::new()),
+            Arc::new(MemLog::new()),
+            WalConfig::with_group_commit(1),
+        )
+        .expect("wal pager"),
+    );
+    let db = Database::open_pool(Arc::new(BufferPool::new(pager, 512))).expect("db");
+    let mut a =
+        ArchIS::open_with_database(db, ArchConfig::db2_like().with_umin(0.5)).expect("open");
+    a.create_relation(RelationSpec::employee())
+        .expect("relation");
+    a
+}
+
 /// The query families of the paper's workload, each with a total order so
 /// access path cannot leak into row order: snapshot, keyed history,
 /// window, join, and the segno-range shape the adversarial test uses.
@@ -170,7 +205,7 @@ fn query_suite(probe: Date, lo: Date, hi: Date, key: i64) -> Vec<(bool, String)>
             format!(
                 "select s.id, s.salary, s.tstart, s.tend from employee_salary s \
                  where s.tstart <= '{probe}' and s.tend >= '{probe}' \
-                 order by s.id, s.tstart, s.salary"
+                 order by s.id, s.tstart, s.salary, s.tend"
             ),
         ),
         (
@@ -341,20 +376,7 @@ proptest! {
         key in 1i64..6,
     ) {
         let _g = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Snapshots need a WAL-backed store (the MVCC machinery pins a
-        // commit LSN in the log), so build on a WalPager over memory.
-        let pager = Arc::new(
-            WalPager::open(
-                Arc::new(MemPager::new()),
-                Arc::new(MemLog::new()),
-                WalConfig::with_group_commit(1),
-            )
-            .expect("wal pager"),
-        );
-        let db = Database::open_pool(Arc::new(BufferPool::new(pager, 512))).expect("db");
-        let mut a =
-            ArchIS::open_with_database(db, ArchConfig::db2_like().with_umin(0.5)).expect("open");
-        a.create_relation(RelationSpec::employee()).expect("relation");
+        let a = wal_archis();
         let mut hired = std::collections::HashSet::new();
         replay(&a, &pre, 0, &mut hired);
         let snap = a.begin_snapshot().expect("snapshot");
@@ -376,6 +398,105 @@ proptest! {
                     PATHS[i], text
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A compressed store answers every query family exactly like its
+    /// uncompressed twin — through `ArchIS::query` / `execute_sql`, under
+    /// every forced path, at head and on a snapshot pinned after
+    /// compression. The twins share a history that ends in an archival;
+    /// one is compressed, then both take a raise dated the day after that
+    /// archival (the closed period moves into the compressed segment's
+    /// table copy, beside its blocks) and keep ingesting and archiving.
+    /// Ordered and aggregate answers must be byte-identical, the rest equal
+    /// as row multisets.
+    #[test]
+    fn compressed_store_answers_like_its_uncompressed_twin(
+        pre in arb_events(),
+        post in arb_events(),
+        probe_day in 0i32..80,
+        lo in 0i32..70,
+        len in 1i32..30,
+        key in 1i64..6,
+    ) {
+        let _g = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut twins = [wal_archis(), wal_archis()];
+        let mut hired = [std::collections::HashSet::new(), std::collections::HashSet::new()];
+        let archived_at = pre.len() as i32;
+        for (a, hired) in twins.iter().zip(hired.iter_mut()) {
+            replay(a, &pre, 0, hired);
+            a.force_archive("employee", day(archived_at)).expect("archive");
+        }
+        twins[1].compress_archived("employee").expect("compress");
+        let raise = hired[0].iter().min().map(|&id| Ev::Raise { id, salary: 12_345 });
+        for (a, hired) in twins.iter().zip(hired.iter_mut()) {
+            replay(a, raise.as_slice(), archived_at + 1, hired);
+            a.database().pool().pager().sync().expect("sync");
+        }
+        let snaps = [
+            twins[0].begin_snapshot().expect("snapshot"),
+            twins[1].begin_snapshot().expect("snapshot"),
+        ];
+        for (a, hired) in twins.iter().zip(hired.iter_mut()) {
+            replay(a, &post, archived_at + 2, hired);
+        }
+        let (probe, d1, d2) = (day(probe_day), day(lo), day(lo + len));
+        let ordered = query_suite(probe, d1, d2, key).into_iter().map(|(sql, q)| (sql, true, q));
+        let unordered = [q::q1_xquery(key, probe), q::q3_xquery(key), q::q6_xquery(d1, d2)]
+            .into_iter()
+            .map(|q| (false, false, q));
+        let queries: Vec<(bool, bool, String)> = ordered.chain(unordered).collect();
+        for (is_sql, total, text) in &queries {
+            let show = |out: archis::Result<sqlxml::QueryResult>| {
+                let out = out.expect("query");
+                if *total { render(out) } else { render_unordered(out) }
+            };
+            for path in PATHS {
+                set_forced_path(path);
+                let [plain, zipped, plain_snap, zipped_snap] = if *is_sql {
+                    [
+                        twins[0].execute_sql(text),
+                        twins[1].execute_sql(text),
+                        snaps[0].execute_sql(text),
+                        snaps[1].execute_sql(text),
+                    ]
+                } else {
+                    [
+                        twins[0].query(text),
+                        twins[1].query(text),
+                        snaps[0].query(text),
+                        snaps[1].query(text),
+                    ]
+                };
+                set_forced_path(None);
+                prop_assert_eq!(
+                    show(plain), show(zipped),
+                    "path {:?}: the compressed store diverges on {}", path, text
+                );
+                prop_assert_eq!(
+                    show(plain_snap), show(zipped_snap),
+                    "path {:?}: the compressed snapshot diverges on {}", path, text
+                );
+            }
+        }
+        // A second, incremental pass compresses what `post` archived; the
+        // moved row stays in the table copy of its compressed segment.
+        drop(snaps);
+        twins[1].compress_archived("employee").expect("second pass");
+        for (is_sql, total, text) in &queries {
+            let run = |a: &ArchIS| {
+                let out = if *is_sql { a.execute_sql(text) } else { a.query(text) };
+                let out = out.expect("query");
+                if *total { render(out) } else { render_unordered(out) }
+            };
+            prop_assert_eq!(
+                run(&twins[0]), run(&twins[1]),
+                "the twice-compressed store diverges on {}", text
+            );
         }
     }
 }
@@ -520,6 +641,16 @@ fn fully_pruned_snapshot_decompresses_zero_blocks() {
     let (hits, misses) = store.cache_stats();
     assert_eq!((hits, misses), (0, 0), "nor even touch the block cache");
 
+    // The general path prunes the same way: the translated `segno = -1`
+    // bounds the block scan to no segment at all.
+    let general = a.query(&q::q2_xquery(probe)).expect("general path");
+    assert_eq!(general.rows.len(), 1, "one (empty) average");
+    assert_eq!(
+        store.cache_stats(),
+        (0, 0),
+        "the general path must not touch a block either"
+    );
+
     let segs = a.segments_of("employee", "salary").expect("segments");
     let covering = segs.iter().find(|s| s.start <= probe && probe <= s.end);
     let covering = covering.expect("an archived segment's interval covers the probe");
@@ -532,6 +663,142 @@ fn fully_pruned_snapshot_decompresses_zero_blocks() {
     // may be served by hits — but it must *touch* blocks either way.
     let (hits, misses) = store.cache_stats();
     assert!(store.blocks_read() + hits + misses > 0);
+}
+
+/// Four yearly archived segments of 48 employees — a salary raise or a
+/// title change every few months each — compressed into small blocks, and
+/// a live year on top.
+fn yearly_compressed_archis() -> ArchIS {
+    let d = |y: i32, m: u32| Date::from_ymd(y, m, 1).unwrap();
+    let config = ArchConfig {
+        block_size: 800,
+        ..ArchConfig::db2_like()
+    };
+    let mut a = ArchIS::new(config);
+    a.create_relation(RelationSpec::employee()).unwrap();
+    for id in 1..=48i64 {
+        a.insert(
+            "employee",
+            id,
+            vec![
+                ("name".into(), Value::Str(format!("emp{id}"))),
+                ("salary".into(), Value::Int(40_000 + id)),
+                ("title".into(), Value::Str("Engineer".into())),
+                ("deptno".into(), Value::Str(format!("d{:02}", id % 4))),
+            ],
+            d(1990, 1),
+        )
+        .unwrap();
+    }
+    for year in 1990..=1994 {
+        for month in 2..=12u32 {
+            for id in 1..=48i64 {
+                let step = id + month as i64;
+                let mut changes = Vec::new();
+                if step % 3 == 0 {
+                    changes.push(("salary".into(), Value::Int(40_000 + id * 10 + step)));
+                }
+                if step % 5 == 0 {
+                    changes.push(("title".into(), Value::Str(format!("T{year}-{month}"))));
+                }
+                if !changes.is_empty() {
+                    a.update("employee", id, changes, d(year, month)).unwrap();
+                }
+            }
+        }
+        if year < 1994 {
+            a.force_archive("employee", Date::from_ymd(year, 12, 31).unwrap())
+                .unwrap();
+        }
+    }
+    a.compress_archived("employee").unwrap();
+    a
+}
+
+/// Block touches (block-cache hits + misses) of one query through
+/// `ArchIS::query`, checked against the query's EXPLAIN block entries.
+fn block_touches(a: &ArchIS, xquery: &str) -> u64 {
+    let store = a.compressed_store("employee").expect("store");
+    relstore::planner::take_plan_log();
+    let (h0, m0) = store.cache_stats();
+    a.query(xquery).expect("query");
+    let (h1, m1) = store.cache_stats();
+    let explained: f64 = relstore::planner::take_plan_log()
+        .iter()
+        .filter(|e| e.path.starts_with("blocks("))
+        .map(|e| e.est_pages)
+        .sum();
+    let touched = h1 + m1 - h0 - m0;
+    assert_eq!(touched as f64, explained, "EXPLAIN counts the blocks read");
+    touched
+}
+
+/// Fig. 14's claim as block counts through the general path: on a
+/// compressed store a point snapshot (Q1) touches one block — two when
+/// the key's rows straddle a block boundary — a keyed history (Q3) at
+/// most one per compressed segment plus such a spill, and a window that
+/// is not one of Q1–Q6 only the blocks of the segment its time restriction
+/// leaves, never the whole store.
+#[test]
+fn compressed_queries_touch_only_the_blocks_their_bounds_select() {
+    let _g = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let a = yearly_compressed_archis();
+    let store = a.compressed_store("employee").expect("store");
+    let segments = store.segment_ranges("salary").expect("salary segments");
+    assert_eq!(segments.len(), 4, "{segments:?}");
+    let total = store.block_count() as u64;
+    for key in [1, 17, 30, 48] {
+        for probe in ["1990-06-15", "1991-03-01", "1992-12-31", "1993-07-04"] {
+            let probe = Date::parse(probe).unwrap();
+            let touched = block_touches(&a, &q::q1_xquery(key, probe));
+            assert!(
+                (1..=2).contains(&touched),
+                "Q1({key}, {probe}) touched {touched} blocks"
+            );
+        }
+        // In the live year no compressed block is needed at all.
+        let live = Date::parse("1994-06-15").unwrap();
+        assert_eq!(block_touches(&a, &q::q1_xquery(key, live)), 0);
+        let touched = block_touches(&a, &q::q3_xquery(key));
+        assert!(
+            touched <= segments.len() as u64 + 1,
+            "Q3({key}) touched {touched} blocks over {} segments",
+            segments.len()
+        );
+    }
+
+    // A title history over most of 1992: the translator restricts it to
+    // the 1992 segment, and only that segment's blocks are read.
+    let window = r#"for $t in doc("employees.xml")/employees/employee/title
+                        [toverlaps(., telement(xs:date("1992-02-01"), xs:date("1992-11-30")))]
+                    return $t"#;
+    let sql = a.translate(window).expect("translate");
+    let segs = a.segments_of("employee", "title").expect("segments");
+    let in_1992 = segs
+        .iter()
+        .find(|s| {
+            s.start <= Date::parse("1992-06-01").unwrap()
+                && s.end >= Date::parse("1992-06-01").unwrap()
+        })
+        .expect("an archived 1992 segment");
+    assert!(
+        sql.contains(&format!(".segno = {}", in_1992.segno)),
+        "{sql}"
+    );
+    let (_, lo, hi) = store
+        .segment_ranges("title")
+        .expect("title segments")
+        .into_iter()
+        .find(|(s, _, _)| *s == in_1992.segno)
+        .expect("the 1992 segment is compressed");
+    let touched = block_touches(&a, window);
+    assert!(touched >= 1, "the window has rows in 1992");
+    assert!(
+        touched <= (hi - lo + 1) as u64,
+        "the window touched {touched} blocks; its segment has {}",
+        hi - lo + 1
+    );
+    assert!(touched * 3 < total, "{touched} of {total} blocks");
 }
 
 /// The same claim at the buffer-pool level ([`relstore::IoStats`]): the
