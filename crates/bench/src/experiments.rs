@@ -12,9 +12,6 @@ use archis::queries as q;
 use archis::ArchConfig;
 use std::time::Instant;
 
-/// Labelled benchmark closures, run in order by the fig14 harness.
-type NamedRuns<'a> = Vec<(&'a str, Box<dyn Fn() + 'a>)>;
-
 /// Figure 7: storage size against `Umin` (plus the paper's bound
 /// `Nseg/Nnoseg ≤ 1/(1−Umin)`).
 pub fn fig7(employees: usize) -> Vec<Vec<String>> {
@@ -285,7 +282,12 @@ pub fn fig13(employees: usize) -> Vec<Vec<String>> {
 }
 
 /// Figure 14: Q1–Q6 with compression — BlockZIP'ed ArchIS vs Tamino
-/// (which is always compressed).
+/// (which is always compressed). Both ArchIS columns run the same XQuery
+/// through [`archis::ArchIS::query`]; the compressed one reads the archived
+/// rows out of BlockZIP blocks. Besides the times, each row carries the
+/// deterministic I/O of the two ArchIS runs: the compressed run's pool
+/// logical reads and block touches (cache hits + misses), and the
+/// uncompressed run's logical reads.
 pub fn fig14(employees: usize, runs: usize) -> Vec<Vec<String>> {
     let ops = dataset::generate(&base_config(employees));
     let probe = ops[0].id();
@@ -301,81 +303,21 @@ pub fn fig14(employees: usize, runs: usize) -> Vec<Vec<String>> {
     // `cold` evicts the decompressed-block cache so BlockZIP unpacking is
     // part of the measurement; a warm rerun keeps it, so the hit-rate
     // column shows what the cache buys on repeated queries.
-    let time_compressed = |f: &dyn Fn(), cold: bool| -> RunCost {
+    let run_compressed = |xq: &str, cold: bool| -> RunCost {
         if cold {
             store.clear_cache();
         }
-        heap.database().pool().flush_all().unwrap();
-        heap.database().pool().reset_stats();
-        let (h0, m0) = store.cache_stats();
-        let start = Instant::now();
-        f();
-        let time = start.elapsed();
-        let stats = heap.database().pool().stats();
-        let (h1, m1) = store.cache_stats();
-        crate::iostat::record(stats.logical_reads, stats.physical_reads);
-        crate::iostat::record_checksums(stats.checksum_verifications, stats.checksum_failures);
-        RunCost {
-            time,
-            logical_reads: stats.logical_reads,
-            physical_reads: stats.physical_reads,
-            cache_hits: h1 - h0,
-            cache_misses: m1 - m0,
-        }
+        store.reset_stats();
+        let mut c = run_archis_cold(&heap, xq);
+        (c.cache_hits, c.cache_misses) = store.cache_stats();
+        c
     };
-    let (w1, w2) = qs.window;
-    let (j1, j2) = (
-        temporal::Date::from_ymd(1996, 4, 1).unwrap(),
-        temporal::Date::from_ymd(1998, 4, 1).unwrap(),
-    );
-    let compressed_runs: NamedRuns = vec![
-        (
-            "Q1 snapshot(single)",
-            Box::new(|| {
-                std::hint::black_box(q::q1_compressed(&heap, store, probe, qs.snap).unwrap());
-            }),
-        ),
-        (
-            "Q2 snapshot",
-            Box::new(|| {
-                std::hint::black_box(q::q2_compressed(&heap, store, qs.snap).unwrap());
-            }),
-        ),
-        (
-            "Q3 history(single)",
-            Box::new(|| {
-                std::hint::black_box(q::q3_compressed(&heap, store, probe).unwrap());
-            }),
-        ),
-        (
-            "Q4 history",
-            Box::new(|| {
-                std::hint::black_box(q::q4_compressed(&heap, store).unwrap());
-            }),
-        ),
-        (
-            "Q5 slicing",
-            Box::new(|| {
-                std::hint::black_box(q::q5_compressed(&heap, store, 60_000, w1, w2).unwrap());
-            }),
-        ),
-        (
-            "Q6 temporal join",
-            Box::new(|| {
-                std::hint::black_box(q::q6_compressed(&heap, store, j1, j2).unwrap());
-            }),
-        ),
-    ];
     let mut rows = Vec::new();
-    for ((label, f), (_, xq)) in compressed_runs.iter().zip(qs.all()) {
-        let mut cs: Vec<RunCost> = (0..runs)
-            .map(|_| time_compressed(f.as_ref(), true))
-            .collect();
-        cs.sort_by_key(|c| c.time);
-        let c = cs[cs.len() / 2];
+    for (label, xq) in qs.all() {
+        let c = median_of(runs, || run_compressed(xq, true));
         // Warm rerun straight after: the block cache still holds whatever
         // the cold run decompressed.
-        let w = time_compressed(f.as_ref(), false);
+        let w = run_compressed(xq, false);
         let t = median_of(runs, || run_xmldb_cold(&tamino, xq));
         let u = median_of(runs, || run_archis_cold(&uncompressed, xq));
         rows.push(vec![
@@ -386,6 +328,9 @@ pub fn fig14(employees: usize, runs: usize) -> Vec<Vec<String>> {
             format!("{:.1}x", t.ms() / c.ms().max(1e-6)),
             format!("{:.2}", w.ms()),
             format!("{:.2}", w.cache_hit_rate()),
+            c.logical_reads.to_string(),
+            (c.cache_hits + c.cache_misses).to_string(),
+            u.logical_reads.to_string(),
         ]);
     }
     print_table(
@@ -398,6 +343,9 @@ pub fn fig14(employees: usize, runs: usize) -> Vec<Vec<String>> {
             "speedup vs Tamino",
             "warm ms",
             "cache hit rate",
+            "BlockZIP reads",
+            "blocks",
+            "uncompressed reads",
         ],
         &rows,
     );
@@ -771,16 +719,30 @@ mod tests {
 
     #[test]
     fn fig14_and_updates_run() {
-        let f14 = fig14(10, 1);
+        // `reproduce`'s default scale: the salary history spans six blocks.
+        let f14 = fig14(100, 1);
         assert_eq!(f14.len(), 6);
-        // Warm reruns must be served out of the decompressed-block cache:
-        // at smoke scale every block a query touches fits, so the hit-rate
-        // column reads 1.00 for all of Q1–Q6.
+        let count = |r: &[String], col: usize| -> u64 { r[col].parse().unwrap() };
         for r in &f14 {
+            // Warm reruns must be served out of the decompressed-block
+            // cache: every block a query touches fits, so the hit-rate
+            // column reads 1.00 for all of Q1–Q6.
             let hit_rate: f64 = r[6].parse().unwrap();
             assert!(
                 hit_rate >= 0.99,
                 "{}: warm cache hit rate only {hit_rate}",
+                r[0]
+            );
+            // The paper's Fig. 14 claim, counted instead of timed: reading
+            // history out of BlockZIP blocks costs at most twice the page
+            // reads of the uncompressed store (pool reads + block touches
+            // against pool reads; at this scale 45+1 vs 41 on Q1, 36+6 vs
+            // 27 on Q3, 76+12 vs 184 on Q6).
+            let compressed = count(r, 7) + count(r, 8);
+            let uncompressed = count(r, 9);
+            assert!(
+                compressed <= 2 * uncompressed,
+                "{}: compressed reads {compressed} > 2 × uncompressed {uncompressed}",
                 r[0]
             );
         }

@@ -19,7 +19,7 @@
 //! every block. Selected blocks stream their rows without copying the
 //! ones the bounds or the pushed-down predicate reject.
 
-use crate::archive::{Archiver, SegmentInfo};
+use crate::archive::Archiver;
 use crate::htable::{self, LIVE_SEGNO};
 use crate::spec::RelationSpec;
 use crate::{ArchError, Result};
@@ -33,7 +33,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::{Bound, Range, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use temporal::Date;
 
 /// Decompressed rows of one block, shared between the cache and readers.
 type BlockRows = Arc<Vec<Vec<Value>>>;
@@ -803,32 +802,11 @@ impl CompressedStore {
     /// All archived rows of one segment of an attribute (decompresses only
     /// that segment's block range).
     pub fn scan_segment(&self, db: &Database, attr: &str, segno: i64) -> Result<Vec<Vec<Value>>> {
-        self.rows_within(db, attr, segno..=segno, i64::MIN..=i64::MAX)
-    }
-
-    /// The archived rows of one key within one segment (binary search over
-    /// the block metadata, then a single block decompression in the common
-    /// case).
-    pub fn lookup(
-        &self,
-        db: &Database,
-        attr: &str,
-        segno: i64,
-        id: i64,
-    ) -> Result<Vec<Vec<Value>>> {
-        self.rows_within(db, attr, segno..=segno, id..=id)
-    }
-
-    /// The archived rows of an attribute whose `(segno, id)` lies inside
-    /// the two ranges, copied out.
-    fn rows_within(
-        &self,
-        db: &Database,
-        attr: &str,
-        segno: RangeInclusive<i64>,
-        id: RangeInclusive<i64>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let (windows, _) = self.windows(db, self.attr(attr)?, &SidBounds { segno, id })?;
+        let sids = SidBounds {
+            segno: segno..=segno,
+            id: i64::MIN..=i64::MAX,
+        };
+        let (windows, _) = self.windows(db, self.attr(attr)?, &sids)?;
         Ok(windows
             .iter()
             .flat_map(|(rows, range)| rows.get(range.clone()).unwrap_or_default())
@@ -923,67 +901,12 @@ impl CompressedStore {
     pub fn spec(&self) -> &RelationSpec {
         &self.spec
     }
-
-    /// Rows of the (uncompressed) live segment of an attribute.
-    pub fn live_rows(&self, db: &Database, attr: &str) -> Result<Vec<Vec<Value>>> {
-        let tname = htable::attr_table(&self.spec, attr);
-        let t = db.table(&tname)?;
-        Ok(t.index_lookup(&format!("{tname}_by_seg"), &[Value::Int(LIVE_SEGNO)])?)
-    }
-
-    /// Find the archived segment covering `date`, if any, using the
-    /// archiver's segment catalog.
-    pub fn covering_segment(segs: &[SegmentInfo], date: Date) -> Option<i64> {
-        segs.iter()
-            .filter(|s| s.segno != LIVE_SEGNO)
-            .find(|s| s.start <= date && date <= s.end)
-            .map(|s| s.segno)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::SegmentInfo;
-
-    fn seg(segno: i64, s: &str, e: &str) -> SegmentInfo {
-        SegmentInfo {
-            segno,
-            start: Date::parse(s).unwrap(),
-            end: Date::parse(e).unwrap(),
-        }
-    }
-
-    #[test]
-    fn covering_segment_picks_the_right_one() {
-        let segs = vec![
-            seg(1, "1990-01-01", "1992-06-30"),
-            seg(2, "1992-07-01", "1995-12-31"),
-            seg(LIVE_SEGNO, "1996-01-01", "9999-12-31"),
-        ];
-        let d = |s: &str| Date::parse(s).unwrap();
-        assert_eq!(
-            CompressedStore::covering_segment(&segs, d("1991-05-01")),
-            Some(1)
-        );
-        assert_eq!(
-            CompressedStore::covering_segment(&segs, d("1992-07-01")),
-            Some(2)
-        );
-        assert_eq!(
-            CompressedStore::covering_segment(&segs, d("1995-12-31")),
-            Some(2)
-        );
-        // Live dates are not covered by any archived segment.
-        assert_eq!(
-            CompressedStore::covering_segment(&segs, d("1997-01-01")),
-            None
-        );
-        assert_eq!(
-            CompressedStore::covering_segment(&segs, d("1989-01-01")),
-            None
-        );
-    }
+    use temporal::Date;
 
     /// The thread fan-out is invisible: `read_blocks` returns, in order,
     /// what reading one block at a time returns.

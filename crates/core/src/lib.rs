@@ -34,7 +34,6 @@
 pub mod archive;
 pub mod compressed;
 pub mod htable;
-pub mod planner;
 pub mod publish;
 pub mod queries;
 pub mod spec;
@@ -186,7 +185,10 @@ pub struct ArchIS {
     compressed: HashMap<String, CompressedStore>,
     /// Attribute table → relation, for every table whose archived rows a
     /// [`CompressedStore`] holds. Filled when compression runs or
-    /// reattaches, so a query pays one map probe per FROM table.
+    /// reattaches, so a query pays one map probe per FROM table. The live
+    /// database and every snapshot view share each store's one in-memory
+    /// block map, which is exact for every view because no view can outlive
+    /// a compression pass ([`ArchIS::compress_archived`] takes `&mut self`).
     compressed_tables: HashMap<String, String>,
 }
 
@@ -675,6 +677,19 @@ impl ArchIS {
     /// Compress all *archived* segments of a relation's attribute tables
     /// with BlockZIP (paper §8.2). The live segment stays uncompressed and
     /// updatable. Returns the total number of blocks in the store.
+    ///
+    /// No snapshot can be pinned across a compression pass: an
+    /// [`ArchSnapshot`] borrows `&self` and this call takes `&mut self`, so
+    /// a snapshot begun before it must be dropped first.
+    ///
+    /// ```compile_fail
+    /// # fn pinned_across(a: &mut archis::ArchIS) -> archis::Result<()> {
+    /// let snap = a.begin_snapshot()?;
+    /// a.compress_archived("employee")?;
+    /// snap.query(&archis::queries::q4_xquery())?;
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn compress_archived(&mut self, relation: &str) -> Result<usize> {
         let spec = self.relation(relation)?.clone();
         let archiver = self.archiver(relation)?;

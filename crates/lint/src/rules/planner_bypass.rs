@@ -1,22 +1,21 @@
 //! Planner discipline: query paths pick access paths through the
 //! cost-based planner, never by hand.
 //!
-//! PR 8 moved every access-path decision — seq scan vs secondary index vs
-//! clustered range, and which archived segments to touch at all — into
-//! `relstore::planner::choose_path` and `archis::planner`. A direct call
-//! to a raw path executor (`stream`, `index_range`, `index_range_stream`,
+//! Every access-path decision — seq scan vs secondary index vs clustered
+//! range — is made by `relstore::planner::choose_path`, and compressed
+//! history is read only through the `(segno, id)` bounds that choice
+//! carries: `engine.rs` hands them to the table's side storage
+//! (`SideStorage`), and `archis::compressed` maps exactly those bounds to
+//! blocks (its `index_lookup` fetches a block by number, an identity
+//! address like the maintenance paths below). A direct call to a raw path
+//! executor (`stream`, `index_range`, `index_range_stream`,
 //! `index_lookup`, `cluster_range`, `cluster_range_stream`) from a query
 //! path reintroduces a hand-wired plan: it silently skips segment
 //! pruning, ignores the statistics catalog, and drifts from the costs the
 //! EXPLAIN log reports. This rule flags every such call in the audited
 //! query-path files (`engine.rs`, `queries.rs`, `translate.rs`); the
-//! planner modules and the storage layer itself are exempt, and
+//! planner module and the storage layer itself are exempt, and
 //! planner-routed helpers carry a `// lint:allow(reason)` marker.
-//! Compressed history reached through the SQL engine needs no audit of
-//! its own: `engine.rs` hands the bounds it planned the table with to the
-//! table's side storage, and `archis::compressed` maps exactly those
-//! bounds to blocks (its `index_lookup` fetches a block by number, an
-//! identity address like the maintenance paths below).
 //!
 //! Maintenance paths (the archiver, vacuum, fsck) are deliberately not
 //! audited: they address rows by identity, not by predicate, so there is
@@ -65,8 +64,8 @@ pub fn check(cfg: &Config, files: &[SourceFile], out: &mut Vec<Diagnostic>) {
                     RULE,
                     format!(
                         "direct .{method}() call hand-wires the access path: route \
-                         the scan through planner::choose_path (SQL) or \
-                         archis::planner (compressed segments)"
+                         the scan through planner::choose_path, which reaches \
+                         compressed segments through the SideStorage block bounds"
                     ),
                 ));
             }

@@ -521,32 +521,6 @@ impl Table {
         self.index_range_raw(index, Bound::Included(&key[..]), Bound::Included(&key[..]))
     }
 
-    /// Rows whose index key (prefix) lies within the value bounds.
-    /// `lo`/`hi` are encoded with [`encode_key`]; a prefix of the index's
-    /// columns is allowed — the scan uses the encoded prefix range.
-    pub fn index_range(
-        &self,
-        index: &str,
-        lo: Bound<&[Value]>,
-        hi: Bound<&[Value]>,
-    ) -> Result<Vec<Vec<Value>>> {
-        let lo_k = map_bound_enc(lo);
-        let hi_k = match hi {
-            // An inclusive upper bound on a *prefix* must cover all longer
-            // keys sharing the prefix: extend to the prefix's upper bound.
-            Bound::Included(vals) => {
-                let enc = encode_key(vals);
-                match crate::btree::prefix_upper(&enc) {
-                    Some(h) => Bound::Excluded(h),
-                    None => Bound::Unbounded,
-                }
-            }
-            Bound::Excluded(vals) => Bound::Excluded(encode_key(vals)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        self.index_range_raw(index, as_bound_slice(&lo_k), as_bound_slice(&hi_k))
-    }
-
     fn index_range_raw(
         &self,
         index: &str,
@@ -624,9 +598,12 @@ impl Table {
         Ok(keyed.into_iter().map(|(_, r)| r).collect())
     }
 
-    /// Streaming variant of [`Table::index_range`]: index entries are
-    /// walked leaf-by-leaf and rows fetched on demand, so early
-    /// termination (LIMIT, point probes) does not pay for the whole range.
+    /// Rows whose index key (prefix) lies within the value bounds, in
+    /// index-key order. `lo`/`hi` are encoded with [`encode_key`]; a prefix
+    /// of the index's columns is allowed — the scan uses the encoded prefix
+    /// range. Index entries are walked leaf-by-leaf and rows fetched on
+    /// demand, so early termination (LIMIT, point probes) does not pay for
+    /// the whole range.
     pub fn index_range_stream(
         &self,
         index: &str,
@@ -1207,8 +1184,10 @@ mod tests {
             assert_eq!(hits[0][1], Value::Int(7000));
             let lo = [Value::Int(10)];
             let hi = [Value::Int(19)];
-            let range = t
-                .index_range("by_id", Bound::Included(&lo[..]), Bound::Included(&hi[..]))
+            let range: Vec<Vec<Value>> = t
+                .index_range_stream("by_id", Bound::Included(&lo[..]), Bound::Included(&hi[..]))
+                .unwrap()
+                .collect::<Result<_>>()
                 .unwrap();
             assert_eq!(range.len(), 10);
             assert!(t.index_lookup("missing", &[Value::Int(1)]).is_err());

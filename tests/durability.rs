@@ -138,13 +138,23 @@ fn compressed_store_reattaches() {
         let a = ArchIS::open_file(&path, ArchConfig::default()).unwrap();
         let store = a.compressed_store("employee").expect("store reattached");
         assert!(store.block_count() > 0);
-        // Point lookup straight out of the reattached BLOB tables.
-        assert_eq!(
-            queries::q1_compressed(&a, store, 1001, d("1995-03-01")).unwrap(),
-            Some(60000)
-        );
-        let hist = queries::q3_compressed(&a, store, 1001).unwrap();
-        assert_eq!(hist.len(), 5);
+        // The reattached store is the side storage of the attribute
+        // tables again: queries read the archived rows out of its blocks.
+        store.reset_stats();
+        let snap = a
+            .query(&queries::q1_xquery(1001, d("1995-03-01")))
+            .unwrap()
+            .xml_fragments()
+            .join("");
+        assert!(snap.contains(">60000<"), "{snap}");
+        let (hits, misses) = store.cache_stats();
+        assert!(hits + misses > 0, "Q1 must read the reattached blocks");
+        let hist = a
+            .query(&queries::q3_xquery(1001))
+            .unwrap()
+            .xml_fragments()
+            .join("");
+        assert_eq!(hist.matches("<salary").count(), 5, "{hist}");
     }
     remove_db(&path);
 }

@@ -298,24 +298,51 @@ fn compression_preserves_every_salary_period() {
 
     a.compress_archived("employee").unwrap();
     let store = a.compressed_store("employee").unwrap();
-    let count_after = queries::q4_compressed(&a, store).unwrap() as i64;
+    store.clear_cache();
+    store.reset_stats();
+    let count_after = a
+        .query(&queries::q4_xquery())
+        .unwrap()
+        .scalar_rows()
+        .unwrap()[0][0]
+        .as_int()
+        .unwrap();
     assert_eq!(count_before, count_after);
+    assert!(
+        store.blocks_read() > 0,
+        "Q4 must read the compressed blocks"
+    );
 
     // Per-employee histories survive byte for byte.
     let date = Date::from_ymd(1992, 7, 1).unwrap();
     for (&id, &salary) in salaries_at(&ops, date).iter().take(10) {
-        assert_eq!(
-            queries::q1_compressed(&a, store, id, date).unwrap(),
-            Some(salary),
-            "employee {id} on {date}"
+        let xml = render(&a, &queries::q1_xquery(id, date));
+        assert_eq!(xml.matches("<salary").count(), 1, "employee {id}: {xml}");
+        assert!(
+            xml.contains(&format!(">{salary}<")),
+            "employee {id} on {date}: expected {salary}, got {xml}"
         );
-        let hist = queries::q3_compressed(&a, store, id).unwrap();
+        let mut hist = history_of(&a, id);
         assert!(!hist.is_empty());
-        // Periods are disjoint and ordered.
+        // Periods are disjoint.
+        hist.sort_by_key(|iv| iv.start());
         for w in hist.windows(2) {
-            assert!(w[0].1.end() < w[1].1.start());
+            assert!(w[0].end() < w[1].start(), "employee {id}: {hist:?}");
         }
     }
+}
+
+/// The salary periods of Q3's answer for `id`.
+fn history_of(a: &ArchIS, id: i64) -> Vec<Interval> {
+    let xml = render(a, &queries::q3_xquery(id));
+    let attr = |el: &str, name: &str| {
+        let at = el.find(&format!("{name}=\"")).unwrap() + name.len() + 2;
+        Date::parse(&el[at..at + 10]).unwrap()
+    };
+    xml.split("<salary")
+        .skip(1)
+        .map(|el| Interval::new(attr(el, "tstart"), attr(el, "tend")).unwrap())
+        .collect()
 }
 
 #[test]
@@ -447,18 +474,22 @@ fn compression_is_incremental_across_archival_cycles() {
         "second pass must add blocks ({blocks1} -> {blocks2})"
     );
     // Every query still answers from the two-generation store.
+    // Both dates lie in archived segments, one per compression pass.
     let store = a.compressed_store("employee").unwrap();
     let d_early = Date::from_ymd(1987, 7, 1).unwrap();
     let d_late = ops.last().unwrap().at() - 30;
     for d in [d_early, d_late] {
+        store.reset_stats();
         let truth = salaries_at(&ops, d);
         for (&id, &salary) in truth.iter().take(5) {
-            assert_eq!(
-                queries::q1_compressed(&a, store, id, d).unwrap(),
-                Some(salary),
-                "employee {id} on {d}"
+            let xml = render(&a, &queries::q1_xquery(id, d));
+            assert!(
+                xml.contains(&format!(">{salary}<")),
+                "employee {id} on {d}: expected {salary}, got {xml}"
             );
         }
+        let (hits, misses) = store.cache_stats();
+        assert!(hits + misses > 0, "snapshots on {d} must read blocks");
     }
     // And the published view equals an uncompressed twin's.
     let twin = load(ArchConfig::db2_like(), &ops, false);

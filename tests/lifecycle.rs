@@ -126,7 +126,9 @@ fn durable_segmented_compressed_lifecycle_matches_in_memory_twin() {
         let rhs = twin.query(&q).unwrap().scalar_rows().unwrap();
         assert_eq!(lhs, rhs, "query {q}");
     }
-    // The compressed store answers point lookups across generations.
+    // Point lookups read the compressed generations and find the twin's
+    // salary. The archived copy of a period still open at archival keeps
+    // `tend = forever`, so the elements' `tend` may differ.
     let store = db.compressed_store("employee").unwrap();
     let probe_rows = db.database().table("employee_id").unwrap().scan().unwrap();
     let probe = probe_rows
@@ -134,12 +136,16 @@ fn durable_segmented_compressed_lifecycle_matches_in_memory_twin() {
         .find(|r| r[1].as_date().unwrap() <= d && r[2].as_date().unwrap() >= d)
         .and_then(|r| r[0].as_int())
         .expect("someone employed");
-    let via_store = queries::q1_compressed(&db, store, probe, d).unwrap();
-    let via_twin = twin.query(&queries::q1_xquery(probe, d)).unwrap();
-    let twin_xml = via_twin.xml_fragments().join("");
-    match via_store {
-        Some(s) => assert!(twin_xml.contains(&format!(">{s}<")), "{s} vs {twin_xml}"),
-        None => assert!(twin_xml.is_empty(), "twin found a salary the store missed"),
-    }
+    store.reset_stats();
+    let q1 = queries::q1_xquery(probe, d);
+    let salaries = |a: &ArchIS| -> Vec<i64> {
+        let xml = a.query(&q1).unwrap().xml_fragments().join("");
+        xml.split(['<', '>'])
+            .filter_map(|t| t.parse().ok())
+            .collect()
+    };
+    assert_eq!(salaries(&db), salaries(&twin), "Q1 for {probe} on {d}");
+    let (hits, misses) = store.cache_stats();
+    assert!(hits + misses > 0, "Q1 must read compressed blocks");
     std::fs::remove_file(&path).ok();
 }

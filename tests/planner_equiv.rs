@@ -302,42 +302,9 @@ proptest! {
         }
     }
 
-    /// The compressed table-function paths (core::planner) under the same
-    /// matrix: Q1/Q3/Q4/Q5/Q6 answers are path-invariant.
-    #[test]
-    fn compressed_paths_agree_across_forced_paths(
-        events in arb_events(),
-        probe_day in 0i32..45,
-        lo in 0i32..40,
-        len in 1i32..20,
-        key in 1i64..6,
-    ) {
-        let _g = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut a = build(&events, false);
-        a.compress_archived("employee").expect("compress");
-        let Some(store) = a.compressed_store("employee") else { return Ok(()) };
-        let (probe, d1, d2) = (day(probe_day), day(lo), day(lo + len));
-        let mut answers = Vec::new();
-        for path in PATHS {
-            set_forced_path(path);
-            let ans = (
-                q::q1_compressed(&a, store, key, probe).expect("q1"),
-                q::q3_compressed(&a, store, key).expect("q3"),
-                q::q4_compressed(&a, store).expect("q4"),
-                q::q5_compressed(&a, store, 50_000, d1, d2).expect("q5"),
-                q::q6_compressed(&a, store, d1, d2).expect("q6"),
-            );
-            set_forced_path(None);
-            answers.push(ans);
-        }
-        for (i, a) in answers.iter().enumerate().skip(1) {
-            prop_assert_eq!(&answers[0], a, "path {:?} diverges", PATHS[i]);
-        }
-    }
-
     /// The same single-object shapes through the general path on a
-    /// compressed store (archived rows come from the uncompression
-    /// override; derived predicates filter them like any other).
+    /// compressed store (archived rows come from the block scan; derived
+    /// predicates filter them like any other).
     #[test]
     fn point_queries_agree_on_compressed_stores(
         events in arb_events(),
@@ -630,25 +597,26 @@ fn fully_pruned_snapshot_decompresses_zero_blocks() {
     let store = a.compressed_store("employee").expect("store");
     let probe = Date::parse("1995-06-01").unwrap();
 
+    // The translated `segno = -1` bounds the block scan to no segment at
+    // all.
     store.reset_stats();
-    let avg = q::q2_compressed(&a, store, probe).expect("q2");
-    assert_eq!(avg, 0.0, "the era is dead — nobody is employed");
+    let avg = a.query(&q::q2_xquery(probe)).expect("q2");
+    let avg = avg.scalar_rows().expect("scalar");
+    assert_eq!(avg.len(), 1, "one average");
+    assert_eq!(
+        avg[0][0].as_f64(),
+        None,
+        "the era is dead — nobody is employed"
+    );
     assert_eq!(
         store.blocks_read(),
         0,
         "a fully-pruned snapshot must not decompress any block"
     );
-    let (hits, misses) = store.cache_stats();
-    assert_eq!((hits, misses), (0, 0), "nor even touch the block cache");
-
-    // The general path prunes the same way: the translated `segno = -1`
-    // bounds the block scan to no segment at all.
-    let general = a.query(&q::q2_xquery(probe)).expect("general path");
-    assert_eq!(general.rows.len(), 1, "one (empty) average");
     assert_eq!(
         store.cache_stats(),
         (0, 0),
-        "the general path must not touch a block either"
+        "nor even touch the block cache"
     );
 
     let segs = a.segments_of("employee", "salary").expect("segments");
