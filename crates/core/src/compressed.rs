@@ -275,7 +275,8 @@ fn window(rows: &[Vec<Value>], from: Sid, to: Sid) -> Range<usize> {
 
 /// The rows of fetched blocks, streamed: only rows inside a sid window are
 /// visited, and one is cloned out only when it passes the pushed-down
-/// predicate, evaluated on the block's own copy.
+/// predicate, evaluated on the block's own copy ([`relstore::exec::keep`],
+/// the filter every table scan applies too).
 struct BlockStream {
     windows: Vec<Window>,
     at: usize,
@@ -291,10 +292,8 @@ impl Iterator for BlockStream {
                 self.at += 1;
                 continue;
             };
-            match self.pred.as_ref().map_or(Ok(true), |p| p.eval_bool(row)) {
-                Ok(true) => return Some(Ok(row.clone())),
-                Ok(false) => {}
-                Err(e) => return Some(Err(e)),
+            if let Some(row) = relstore::exec::keep(self.pred.as_ref(), row) {
+                return Some(row);
             }
         }
         None

@@ -21,7 +21,7 @@
 //! 5. **Error-drop audit** (`error-drop`) — `let _ =` and statement-final
 //!    `.ok()` on the commit/recovery/vacuum paths.
 //! 6. **Planner discipline** (`planner-bypass`) — direct raw access-path
-//!    calls (`stream`, `index_range`, `cluster_range`, ...) in the query
+//!    calls (`stream`, `index_range`, `cluster_range_stream`, ...) in the query
 //!    paths, which would hand-wire a plan past the cost-based planner and
 //!    its segment pruning.
 //! 7. **Pin leaks** (`pin-leak`) — flow-sensitive: snapshot pins must be
@@ -206,7 +206,6 @@ impl Config {
                 "index_lookup".into(),
                 "index_range".into(),
                 "index_range_stream".into(),
-                "cluster_range".into(),
                 "cluster_range_stream".into(),
             ],
             corrupt_sinks: vec![

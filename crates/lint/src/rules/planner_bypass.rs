@@ -9,7 +9,7 @@
 //! blocks (its `index_lookup` fetches a block by number, an identity
 //! address like the maintenance paths below). A direct call to a raw path
 //! executor (`stream`, `index_range`, `index_range_stream`,
-//! `index_lookup`, `cluster_range`, `cluster_range_stream`) from a query
+//! `index_lookup`, `cluster_range_stream`) from a query
 //! path reintroduces a hand-wired plan: it silently skips segment
 //! pruning, ignores the statistics catalog, and drifts from the costs the
 //! EXPLAIN log reports. This rule flags every such call in the audited
@@ -32,7 +32,6 @@ const RAW_PATHS: &[&str] = &[
     "index_range",
     "index_range_stream",
     "index_lookup",
-    "cluster_range",
     "cluster_range_stream",
 ];
 

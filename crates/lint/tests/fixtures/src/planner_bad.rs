@@ -12,14 +12,14 @@ pub fn rogue_index(table: &Table, key: i64) {
 }
 
 pub fn rogue_cluster(table: &Table, lo: u64, hi: u64) {
-    let _rows = table.cluster_range(lo, hi); //~ planner-bypass
+    let _rows = table.cluster_range_stream(lo, hi).collect(); //~ planner-bypass
     let _s = table.cluster_range_stream(lo, hi); //~ planner-bypass
 }
 
 pub fn sanctioned(table: &Table, lo: u64, hi: u64) {
     // lint:allow(fixture demo: reached only from scan_table after
     // choose_path already picked the clustered range for this table)
-    let _rows = table.cluster_range(lo, hi);
+    let _rows = table.cluster_range_stream(lo, hi);
 }
 
 pub fn planner_routed(table: &Table) {

@@ -13,7 +13,7 @@ use crate::buffer::BufferPool;
 use crate::page::{PageId, PAGE_SIZE};
 use crate::{Result, StoreError};
 use parking_lot::Mutex;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -96,56 +96,22 @@ impl Node {
     /// damaged node reports which page holds it — fsck and the
     /// index-fallback paths match on that attribution).
     fn deserialize(pid: PageId, data: &[u8]) -> Result<Node> {
-        let corrupt = |m: &str| {
-            StoreError::corrupt_at(pid, crate::CorruptObject::BTree, format!("node: {m}"))
-        };
-        match data[0] {
-            LEAF_TAG => {
-                let count = u16::from_be_bytes(data[1..3].try_into().unwrap()) as usize;
-                let next_raw = u64::from_be_bytes(data[3..11].try_into().unwrap());
-                let next = (next_raw != NO_PAGE).then_some(next_raw);
-                let mut entries = Vec::with_capacity(count);
-                let mut pos = LEAF_HEADER;
-                for _ in 0..count {
-                    let klen = u16::from_be_bytes(data[pos..pos + 2].try_into().unwrap()) as usize;
-                    let vlen =
-                        u16::from_be_bytes(data[pos + 2..pos + 4].try_into().unwrap()) as usize;
-                    pos += 4;
-                    if pos + klen + vlen > data.len() {
-                        return Err(corrupt("leaf entry overruns page"));
-                    }
-                    let k = data[pos..pos + klen].to_vec();
-                    pos += klen;
-                    let v = data[pos..pos + vlen].to_vec();
-                    pos += vlen;
-                    entries.push((k, v));
-                }
-                Ok(Node::Leaf { entries, next })
-            }
-            INTERNAL_TAG => {
-                let count = u16::from_be_bytes(data[1..3].try_into().unwrap()) as usize;
-                let first_child = u64::from_be_bytes(data[3..11].try_into().unwrap());
-                let mut entries = Vec::with_capacity(count);
-                let mut pos = INTERNAL_HEADER;
-                for _ in 0..count {
-                    let klen = u16::from_be_bytes(data[pos..pos + 2].try_into().unwrap()) as usize;
-                    pos += 2;
-                    if pos + klen + 8 > data.len() {
-                        return Err(corrupt("internal entry overruns page"));
-                    }
-                    let k = data[pos..pos + klen].to_vec();
-                    pos += klen;
-                    let child = u64::from_be_bytes(data[pos..pos + 8].try_into().unwrap());
-                    pos += 8;
-                    entries.push((k, child));
-                }
-                Ok(Node::Internal {
-                    first_child,
-                    entries,
-                })
-            }
-            t => Err(corrupt(&format!("unknown tag {t}"))),
+        if data.first() == Some(&INTERNAL_TAG) {
+            let mut entries = Vec::new();
+            let first_child = each_separator(pid, data, |k, c| entries.push((k.to_vec(), c)))?;
+            return Ok(Node::Internal {
+                first_child,
+                entries,
+            });
         }
+        let (count, next) = check_leaf(pid, data)?;
+        let mut entries = Vec::with_capacity(count);
+        let mut pos = LEAF_HEADER;
+        while let Some((k, v)) = leaf_entry(data, pos).filter(|_| entries.len() < count) {
+            pos = v.end;
+            entries.push((data[k].to_vec(), data[v].to_vec()));
+        }
+        Ok(Node::Leaf { entries, next })
     }
 }
 
@@ -593,18 +559,15 @@ impl BTree {
         // leave duplicates of that key in the left subtree (splits cut by
         // bytes, and bulk-loaded leaf boundaries fall wherever a page
         // fills), so land one child early and let the iterator's lo-bound
-        // filter skip ahead along the leaf chain.
-        while let Node::Internal {
-            first_child,
-            entries,
-        } = self.load(pid)?
-        {
-            let idx = entries.partition_point(|(k, _)| k.as_slice() < start_key);
-            pid = if idx == 0 {
-                first_child
-            } else {
-                entries[idx - 1].1
-            };
+        // filter skip ahead along the leaf chain. Each node is read in
+        // place under its latch, not decoded.
+        loop {
+            let frame = self.pool.get(pid)?;
+            let guard = frame.read();
+            match descend(pid, &guard.data[..], start_key)? {
+                Some(child) => pid = child,
+                None => break,
+            }
         }
         Ok(RangeIter {
             tree: BTree {
@@ -614,7 +577,8 @@ impl BTree {
                 entries: self.entries.clone(),
             },
             leaf: Some(pid),
-            entries: Vec::new(),
+            page: Vec::new(),
+            left: 0,
             pos: 0,
             lo: bound_owned(lo),
             hi: bound_owned(hi),
@@ -824,7 +788,98 @@ fn bound_owned(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
     }
 }
 
+fn read_u16(page: &[u8], at: usize) -> Option<usize> {
+    Some(u16::from_be_bytes(page.get(at..at + 2)?.try_into().ok()?) as usize)
+}
+
+fn read_u64(page: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_be_bytes(page.get(at..at + 8)?.try_into().ok()?))
+}
+
+/// The key and value byte ranges of the leaf entry at offset `pos` of a
+/// leaf page; `None` when the entry overruns the page.
+fn leaf_entry(page: &[u8], pos: usize) -> Option<(Range<usize>, Range<usize>)> {
+    let key = pos + 4..pos + 4 + read_u16(page, pos)?;
+    let value = key.end..key.end + read_u16(page, pos + 2)?;
+    (value.end <= page.len()).then_some((key, value))
+}
+
+fn node_corrupt(pid: PageId, m: String) -> StoreError {
+    StoreError::corrupt_at(pid, crate::CorruptObject::BTree, m)
+}
+
+/// Check leaf page `pid` whole — its tag and the framing of every entry —
+/// without decoding it; returns its entry count and next leaf.
+fn check_leaf(pid: PageId, page: &[u8]) -> Result<(usize, Option<PageId>)> {
+    match page.first() {
+        Some(&LEAF_TAG) => {}
+        Some(&INTERNAL_TAG) => {
+            return Err(node_corrupt(
+                pid,
+                "internal node linked into the leaf chain".into(),
+            ))
+        }
+        t => {
+            let t = t.copied().unwrap_or_default();
+            return Err(node_corrupt(pid, format!("node: unknown tag {t}")));
+        }
+    }
+    let short = || node_corrupt(pid, "node: short page".into());
+    let count = read_u16(page, 1).ok_or_else(short)?;
+    let next = read_u64(page, 3).ok_or_else(short)?;
+    let mut pos = LEAF_HEADER;
+    for _ in 0..count {
+        pos = leaf_entry(page, pos)
+            .ok_or_else(|| node_corrupt(pid, "node: leaf entry overruns page".into()))?
+            .1
+            .end;
+    }
+    Ok((count, (next != NO_PAGE).then_some(next)))
+}
+
+/// Walk internal page `pid` in place: `f` sees every `(separator, right
+/// child)` entry in order. Returns the first child; an entry that overruns
+/// the page is an error.
+fn each_separator(pid: PageId, page: &[u8], mut f: impl FnMut(&[u8], PageId)) -> Result<PageId> {
+    let overrun = || node_corrupt(pid, "node: internal entry overruns page".into());
+    let count = read_u16(page, 1).ok_or_else(overrun)?;
+    let first = read_u64(page, 3).ok_or_else(overrun)?;
+    let mut pos = INTERNAL_HEADER;
+    for _ in 0..count {
+        let klen = read_u16(page, pos).ok_or_else(overrun)?;
+        let separator = page.get(pos + 2..pos + 2 + klen).ok_or_else(overrun)?;
+        f(
+            separator,
+            read_u64(page, pos + 2 + klen).ok_or_else(overrun)?,
+        );
+        pos += klen + 10;
+    }
+    Ok(first)
+}
+
+/// One step of a descent toward `key` from page `pid`, read in place:
+/// the child whose subtree holds the first entry not below `key` (strict
+/// `<` on the sorted separators, see [`BTree::range`]), or `None` at a
+/// leaf. The whole node is checked, as decoding it would.
+fn descend(pid: PageId, page: &[u8], key: &[u8]) -> Result<Option<PageId>> {
+    if page.first() != Some(&INTERNAL_TAG) {
+        return check_leaf(pid, page).map(|_| None);
+    }
+    let mut below = None;
+    let first = each_separator(pid, page, |separator, right| {
+        if separator < key {
+            below = Some(right);
+        }
+    })?;
+    Ok(Some(below.unwrap_or(first)))
+}
+
 /// Ordered iterator over a key range; walks the leaf chain lazily.
+///
+/// Each leaf is copied out of its frame into the iterator's own buffer
+/// (the latch is held for the copy only) and its entries are read from
+/// there in place: `next_entry` lends them to the crate without
+/// allocating, the [`Iterator`] impl hands out owned copies.
 ///
 /// A leaf that fails to load (checksum mismatch, mangled node) ends the
 /// iteration and parks the error in [`RangeIter::take_error`]; callers
@@ -833,7 +888,10 @@ fn bound_owned(b: Bound<&[u8]>) -> Bound<Vec<u8>> {
 pub struct RangeIter {
     tree: BTree,
     leaf: Option<PageId>,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
+    /// The current leaf page; every entry's framing was checked on load.
+    page: Vec<u8>,
+    /// Entries of `page` not yet visited, and the offset of the next one.
+    left: usize,
     pos: usize,
     lo: Bound<Vec<u8>>,
     hi: Bound<Vec<u8>>,
@@ -847,20 +905,23 @@ impl RangeIter {
     pub fn take_error(&mut self) -> Option<StoreError> {
         self.error.take()
     }
-}
 
-impl Iterator for RangeIter {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.pos < self.entries.len() {
-                let (k, v) = &self.entries[self.pos];
-                self.pos += 1;
+    /// The next in-range `(key, value)` entry, borrowed from the
+    /// iterator's copy of its leaf.
+    pub(crate) fn next_entry(&mut self) -> Option<(&[u8], &[u8])> {
+        let (key, value) = loop {
+            if self.left > 0 {
+                let Some((k, v)) = leaf_entry(&self.page, self.pos) else {
+                    self.left = 0;
+                    continue;
+                };
+                self.pos = v.end;
+                self.left -= 1;
+                let key = self.page.get(k.clone()).unwrap_or_default();
                 if !self.primed {
                     let in_lo = match &self.lo {
-                        Bound::Included(lo) => k >= lo,
-                        Bound::Excluded(lo) => k > lo,
+                        Bound::Included(lo) => key >= lo.as_slice(),
+                        Bound::Excluded(lo) => key > lo.as_slice(),
                         Bound::Unbounded => true,
                     };
                     if !in_lo {
@@ -869,38 +930,50 @@ impl Iterator for RangeIter {
                     self.primed = true;
                 }
                 let in_hi = match &self.hi {
-                    Bound::Included(hi) => k <= hi,
-                    Bound::Excluded(hi) => k < hi,
+                    Bound::Included(hi) => key <= hi.as_slice(),
+                    Bound::Excluded(hi) => key < hi.as_slice(),
                     Bound::Unbounded => true,
                 };
                 if !in_hi {
                     self.leaf = None;
-                    self.entries.clear();
+                    self.left = 0;
                     return None;
                 }
-                return Some((k.clone(), v.clone()));
+                break (k, v);
             }
             let pid = self.leaf.take()?;
-            match self.tree.load(pid) {
-                Ok(Node::Leaf { entries, next }) => {
-                    self.entries = entries;
-                    self.pos = 0;
-                    self.leaf = next;
-                }
-                Ok(Node::Internal { .. }) => {
-                    self.error = Some(StoreError::corrupt_at(
-                        pid,
-                        crate::CorruptObject::BTree,
-                        "internal node linked into the leaf chain",
-                    ));
-                    return None;
-                }
-                Err(e) => {
-                    self.error = Some(e);
-                    return None;
-                }
+            if let Err(e) = self.load_leaf(pid) {
+                self.error = Some(e);
+                return None;
             }
-        }
+        };
+        Some((
+            self.page.get(key).unwrap_or_default(),
+            self.page.get(value).unwrap_or_default(),
+        ))
+    }
+
+    /// Copy leaf `pid` into the buffer and check it whole ([`check_leaf`]),
+    /// so a damaged leaf fails before any of its entries is handed out.
+    fn load_leaf(&mut self, pid: PageId) -> Result<()> {
+        let frame = self.tree.pool.get(pid)?;
+        let guard = frame.read();
+        self.page.clear();
+        self.page.extend_from_slice(&guard.data[..]);
+        drop(guard);
+        let (count, next) = check_leaf(pid, &self.page)?;
+        self.leaf = next;
+        self.left = count;
+        self.pos = LEAF_HEADER;
+        Ok(())
+    }
+}
+
+impl Iterator for RangeIter {
+    type Item = (Vec<u8>, Vec<u8>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_entry().map(|(k, v)| (k.to_vec(), v.to_vec()))
     }
 }
 

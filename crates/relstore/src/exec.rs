@@ -1,10 +1,14 @@
 //! A Volcano-style iterator executor.
 //!
 //! Operators are plain `Iterator<Item = Result<Row>>` values that compose
-//! into left-deep plans. The SQL/XML engine (crate `sqlxml`) builds these;
-//! the paper's observation that the translated H-table queries "execute
-//! very fast (in linear time) since every table is already sorted on its
-//! `id` attribute" corresponds to [`SortMergeJoin`] here. Expressions
+//! into left-deep plans; the SQL/XML engine (crate `sqlxml`) builds them.
+//! Scans filter at the source: a table scan decodes each record into a
+//! reused buffer and evaluates its pushed-down predicate there, so a row
+//! the query throws away is never copied ([`keep`] is the one filter every
+//! scan shares). The paper observes that the translated H-table queries
+//! "execute very fast (in linear time)" because every join is on `id`;
+//! here that is [`HashJoin`], which hashes its right input once and
+//! streams its key-sorted left input through the table. Expressions
 //! arrive with their UDFs already bound, so operators evaluate them
 //! without a function registry.
 
@@ -13,7 +17,6 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::{Result, StoreError};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::ops::Bound;
 
 /// A materialized row.
@@ -25,70 +28,20 @@ pub type RowResult = Result<Row>;
 /// Object-safe alias for a boxed operator.
 pub type Executor = Box<dyn Iterator<Item = RowResult>>;
 
-/// Full-table scan. Streams rows page-at-a-time through
-/// [`Table::stream`], so downstream early termination (LIMIT, point
-/// probes) stops pulling pages instead of paying full-table cost.
-pub struct SeqScan {
-    inner: Executor,
-}
-
-impl SeqScan {
-    /// Scan all rows of `table`.
-    pub fn new(table: &Table) -> Self {
-        match table.stream() {
-            Ok(stream) => SeqScan {
-                inner: Box::new(stream),
-            },
-            Err(e) => SeqScan {
-                inner: Box::new(std::iter::once(Err(e))),
-            },
-        }
-    }
-
-    /// Wrap pre-materialized rows (used by table functions and tests).
-    pub fn from_rows(rows: Vec<Row>) -> Self {
-        SeqScan {
-            inner: Box::new(rows.into_iter().map(Ok)),
-        }
+/// The source filter every scan shares: `row` copied out when `pred`
+/// accepts it (or there is no predicate), `None` when it rejects it (NULL
+/// counts as false), the error when evaluation fails — never a silently
+/// dropped row. Scans call this on their own decode buffer.
+pub fn keep(pred: Option<&Expr>, row: &[Value]) -> Option<RowResult> {
+    match pred.map_or(Ok(true), |p| p.eval_bool(row)) {
+        Ok(true) => Some(Ok(row.to_vec())),
+        Ok(false) => None,
+        Err(e) => Some(Err(e)),
     }
 }
 
-impl Iterator for SeqScan {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        self.inner.next()
-    }
-}
-
-/// B+tree index range scan. Streams index entries leaf-by-leaf and fetches
-/// rows on demand (see [`Table::index_range_stream`]).
-pub struct IndexRangeScan {
-    inner: Executor,
-}
-
-impl IndexRangeScan {
-    /// Scan `table` through `index` for keys in `[lo, hi]` (value bounds;
-    /// prefixes of composite keys are allowed).
-    pub fn new(table: &Table, index: &str, lo: Bound<&[Value]>, hi: Bound<&[Value]>) -> Self {
-        match table.index_range_stream(index, lo, hi) {
-            Ok(stream) => IndexRangeScan {
-                inner: Box::new(stream),
-            },
-            Err(e) => IndexRangeScan {
-                inner: Box::new(std::iter::once(Err(e))),
-            },
-        }
-    }
-}
-
-impl Iterator for IndexRangeScan {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        self.inner.next()
-    }
-}
-
-/// Filter by a predicate expression.
+/// Filter by a predicate expression (the engine's residual, multi-table
+/// predicates; single-table ones are pushed into the scans).
 pub struct Filter {
     input: Executor,
     pred: Expr,
@@ -117,287 +70,41 @@ impl Iterator for Filter {
     }
 }
 
-/// Compute output columns from expressions.
-pub struct Project {
-    input: Executor,
-    exprs: Vec<Expr>,
+/// `left ++ right` as one new row.
+fn concat(left: &[Value], right: &[Value]) -> Row {
+    let mut row = Vec::with_capacity(left.len() + right.len());
+    row.extend_from_slice(left);
+    row.extend_from_slice(right);
+    row
 }
 
-impl Project {
-    /// Each output row is `exprs` evaluated on the input row.
-    pub fn new(input: Executor, exprs: Vec<Expr>) -> Self {
-        Project { input, exprs }
-    }
+/// Hash of a key tuple that agrees with [`Value::total_cmp`] equality:
+/// keys that compare equal component by component hash alike. Numbers
+/// hash by their `f64` value, so `Int(1)` and `Double(1.0)` collide as
+/// they compare; NULL hashes as one constant. A multiply-rotate mix, not
+/// SipHash: keys come from the store, not from an adversary.
+fn hash_key(key: &[Value]) -> u64 {
+    key.iter().fold(0, |h, v| match v {
+        Value::Null => mix(h, 0),
+        // `+ 0.0` folds `-0.0` onto `0.0`: they compare equal.
+        Value::Int(i) => mix(mix(h, 1), (*i as f64 + 0.0).to_bits()),
+        Value::Double(d) => mix(mix(h, 1), (d + 0.0).to_bits()),
+        Value::Str(s) => mix_bytes(mix(h, 2), s.as_bytes()),
+        Value::Date(d) => mix(mix(h, 3), d.day_number() as u64),
+        Value::Blob(b) => mix_bytes(mix(h, 4), b),
+    })
 }
 
-impl Iterator for Project {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        match self.input.next()? {
-            Err(e) => Some(Err(e)),
-            Ok(row) => {
-                let out: Result<Row> = self.exprs.iter().map(|e| e.eval(&row)).collect();
-                Some(out)
-            }
-        }
-    }
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-/// Materializing sort.
-pub struct Sort {
-    sorted: std::vec::IntoIter<Row>,
-    err: Option<StoreError>,
-}
-
-impl Sort {
-    /// Sort by the given key expressions (ascending flags per key).
-    pub fn new(input: Executor, keys: Vec<(Expr, bool)>) -> Self {
-        let mut rows = Vec::new();
-        let mut err = None;
-        for r in input {
-            match r {
-                Ok(row) => rows.push(row),
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        if err.is_none() {
-            // Precompute keys, then sort.
-            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-            'outer: for row in rows {
-                let mut kv = Vec::with_capacity(keys.len());
-                for (e, _) in &keys {
-                    match e.eval(&row) {
-                        Ok(v) => kv.push(v),
-                        Err(e) => {
-                            err = Some(e);
-                            break 'outer;
-                        }
-                    }
-                }
-                keyed.push((kv, row));
-            }
-            if err.is_none() {
-                keyed.sort_by(|(a, _), (b, _)| {
-                    for (i, (_, asc)) in keys.iter().enumerate() {
-                        let ord = a[i].total_cmp(&b[i]);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if ord != Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    Ordering::Equal
-                });
-                return Sort {
-                    sorted: keyed
-                        .into_iter()
-                        .map(|(_, r)| r)
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                    err: None,
-                };
-            }
-        }
-        Sort {
-            sorted: Vec::new().into_iter(),
-            err,
-        }
-    }
-}
-
-impl Iterator for Sort {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        if let Some(e) = self.err.take() {
-            return Some(Err(e));
-        }
-        self.sorted.next().map(Ok)
-    }
-}
-
-/// Row-count limit.
-pub struct Limit {
-    input: Executor,
-    remaining: usize,
-}
-
-impl Limit {
-    /// Pass through at most `n` rows.
-    pub fn new(input: Executor, n: usize) -> Self {
-        Limit {
-            input,
-            remaining: n,
-        }
-    }
-}
-
-impl Iterator for Limit {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.input.next()
-    }
-}
-
-/// Nested-loop join with an arbitrary condition (the fallback join).
-/// The condition sees the concatenated `left ++ right` row.
-pub struct NestedLoopJoin {
-    left: Vec<Row>,
-    right: Vec<Row>,
-    cond: Expr,
-    li: usize,
-    ri: usize,
-    err: Option<StoreError>,
-}
-
-impl NestedLoopJoin {
-    /// Join two inputs on `cond` (evaluated on concatenated rows).
-    pub fn new(left: Executor, right: Executor, cond: Expr) -> Self {
-        let mut err = None;
-        let collect = |it: Executor, err: &mut Option<StoreError>| -> Vec<Row> {
-            let mut v = Vec::new();
-            for r in it {
-                match r {
-                    Ok(row) => v.push(row),
-                    Err(e) => {
-                        *err = Some(e);
-                        break;
-                    }
-                }
-            }
-            v
-        };
-        let left = collect(left, &mut err);
-        let right = collect(right, &mut err);
-        NestedLoopJoin {
-            left,
-            right,
-            cond,
-            li: 0,
-            ri: 0,
-            err,
-        }
-    }
-}
-
-impl Iterator for NestedLoopJoin {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        if let Some(e) = self.err.take() {
-            return Some(Err(e));
-        }
-        while self.li < self.left.len() {
-            while self.ri < self.right.len() {
-                let mut row = self.left[self.li].clone();
-                row.extend(self.right[self.ri].clone());
-                self.ri += 1;
-                match self.cond.eval_bool(&row) {
-                    Err(e) => return Some(Err(e)),
-                    Ok(true) => return Some(Ok(row)),
-                    Ok(false) => continue,
-                }
-            }
-            self.ri = 0;
-            self.li += 1;
-        }
-        None
-    }
-}
-
-/// Sort-merge equi-join on a composite key.
-///
-/// This is the paper's fast path: H-tables are stored sorted (clustered) on
-/// `id`, so the ubiquitous `N.id = T.id` joins merge in linear time. The
-/// key is a vector — every equality connecting the two inputs, e.g.
-/// `(t2.id, t2.tend + 1) = (t3.id, t3.tstart)` for the adjacent-period
-/// (`tmeets`) join — so rows pair only when all components match instead
-/// of pairing on `id` and filtering the product afterwards.
-pub struct SortMergeJoin {
-    output: std::vec::IntoIter<Row>,
-    err: Option<StoreError>,
-}
-
-/// Rows tagged with their evaluated join key.
-type Keyed = Vec<(Vec<Value>, Row)>;
-
-impl SortMergeJoin {
-    /// Join where `lkeys` evaluated on the left row equal `rkeys` on the
-    /// right row, component by component (the two lists have the same
-    /// length). A NULL component never joins. Inputs need not be
-    /// pre-sorted; they are sorted here (already-ordered inputs sort in
-    /// near-linear time under the stdlib's adaptive merge sort). Output
-    /// rows are `left ++ right`.
-    pub fn new(left: Executor, right: Executor, lkeys: Vec<Expr>, rkeys: Vec<Expr>) -> Self {
-        match Self::merge(left, right, &lkeys, &rkeys) {
-            Ok(rows) => SortMergeJoin {
-                output: rows.into_iter(),
-                err: None,
-            },
-            Err(e) => SortMergeJoin {
-                output: Vec::new().into_iter(),
-                err: Some(e),
-            },
-        }
-    }
-
-    fn merge(left: Executor, right: Executor, lkeys: &[Expr], rkeys: &[Expr]) -> Result<Vec<Row>> {
-        // An empty right input joins to nothing, so the left one is never
-        // read: a fully pruned scan on the right costs no left scan.
-        let right = sorted_by_key(right, rkeys)?;
-        if right.is_empty() {
-            return Ok(Vec::new());
-        }
-        let left = sorted_by_key(left, lkeys)?;
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < left.len() && j < right.len() {
-            match cmp_keys(&left[i].0, &right[j].0) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    // Emit the cross product of the equal groups.
-                    let same = |k: &Vec<Value>| cmp_keys(k, &left[i].0) == Ordering::Equal;
-                    let ie = i + left[i..].iter().take_while(|(k, _)| same(k)).count();
-                    let je = j + right[j..].iter().take_while(|(k, _)| same(k)).count();
-                    for (_, l) in &left[i..ie] {
-                        for (_, r) in &right[j..je] {
-                            let mut row = Vec::with_capacity(l.len() + r.len());
-                            row.extend_from_slice(l);
-                            row.extend_from_slice(r);
-                            out.push(row);
-                        }
-                    }
-                    i = ie;
-                    j = je;
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Drain `input`, evaluate `keys` on every row, drop rows with a NULL key
-/// component (they can never join) and sort the rest by key — stably, so
-/// equal keys keep input order.
-fn sorted_by_key(input: Executor, keys: &[Expr]) -> Result<Keyed> {
-    let mut out = Vec::new();
-    for row in input {
-        let row = row?;
-        let key = keys
-            .iter()
-            .map(|k| k.eval(&row))
-            .collect::<Result<Vec<_>>>()?;
-        if !key.iter().any(Value::is_null) {
-            out.push((key, row));
-        }
-    }
-    out.sort_by(|(a, _), (b, _)| cmp_keys(a, b));
-    Ok(out)
+fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
+    let chunks = bytes.chunks(8);
+    let h = chunks.fold(h, |h, c| {
+        mix(h, c.iter().fold(0u64, |w, &b| (w << 8) | u64::from(b)))
+    });
+    mix(h, bytes.len() as u64)
 }
 
 /// Lexicographic [`Value::total_cmp`] over two keys of equal length.
@@ -409,27 +116,250 @@ fn cmp_keys(a: &[Value], b: &[Value]) -> Ordering {
         .unwrap_or(Ordering::Equal)
 }
 
-impl Iterator for SortMergeJoin {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        if let Some(e) = self.err.take() {
-            return Some(Err(e));
+/// End of a [`KeyIndex`] chain.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// A chained hash table over key tuples. Keys are stored flat (`arity`
+/// values per entry) with their hashes, so probing with a borrowed key
+/// allocates nothing. Keys are equal when every component is equal under
+/// [`Value::total_cmp`] — NULL equals NULL here; the join keeps NULL keys
+/// out itself. [`HashJoin`]'s build side and the SQL/XML engine's
+/// `GROUP BY` index.
+pub struct KeyIndex {
+    arity: usize,
+    keys: Vec<Value>,
+    hashes: Vec<u64>,
+    /// Each entry's successor in its bucket's chain, newest entry first.
+    next: Vec<u32>,
+    heads: Vec<u32>,
+    /// `64 - log2(buckets)`: buckets take the hash's well-mixed high bits.
+    shift: u32,
+}
+
+impl KeyIndex {
+    /// An empty index over keys of `arity` values.
+    pub fn new(arity: usize) -> Self {
+        KeyIndex {
+            arity,
+            keys: Vec::new(),
+            hashes: Vec::new(),
+            next: Vec::new(),
+            heads: vec![NO_ENTRY; 16],
+            shift: 60,
         }
-        self.output.next().map(Ok)
+    }
+
+    fn key(&self, e: usize) -> &[Value] {
+        let at = e * self.arity;
+        self.keys.get(at..at + self.arity).unwrap_or_default()
+    }
+
+    /// Append an entry for `key` (duplicates allowed); returns its number.
+    fn push(&mut self, key: &[Value]) -> usize {
+        let e = self.hashes.len();
+        self.keys.extend_from_slice(key);
+        self.hashes.push(hash_key(key));
+        self.next.push(NO_ENTRY);
+        if e < self.heads.len() {
+            self.link(e);
+        } else {
+            // Double the buckets and relink every entry in push order.
+            self.heads = vec![NO_ENTRY; self.heads.len() * 2];
+            self.shift -= 1;
+            (0..=e).for_each(|e| self.link(e));
+        }
+        e
+    }
+
+    fn link(&mut self, e: usize) {
+        let hash = self.hashes.get(e).copied().unwrap_or_default();
+        let head = self.heads.get_mut((hash >> self.shift) as usize);
+        if let (Some(head), Some(next)) = (head, self.next.get_mut(e)) {
+            *next = std::mem::replace(head, e as u32);
+        }
+    }
+
+    /// The entries whose key equals `key`, newest first.
+    fn matches<'a>(&'a self, key: &'a [Value]) -> impl Iterator<Item = usize> + 'a {
+        let hash = hash_key(key);
+        let head = self.heads.get((hash >> self.shift) as usize).copied();
+        std::iter::successors(head, |&e| self.next.get(e as usize).copied())
+            .take_while(|&e| e != NO_ENTRY)
+            .map(|e| e as usize)
+            .filter(move |&e| {
+                self.hashes.get(e) == Some(&hash) && cmp_keys(self.key(e), key).is_eq()
+            })
+    }
+
+    /// The entry equal to `key`, or a new one for it: `(entry, whether it
+    /// was added)`.
+    pub fn find_or_push(&mut self, key: &[Value]) -> (usize, bool) {
+        let found = self.matches(key).next();
+        found.map_or_else(|| (self.push(key), true), |e| (e, false))
     }
 }
 
-/// One aggregate to compute: function plus argument expression.
-#[derive(Debug, Clone)]
-pub struct AggSpec {
-    /// The aggregate function.
-    pub func: AggFunc,
-    /// Its argument (ignored for `CountStar`).
-    pub arg: Expr,
+/// Hash equi-join on a composite key.
+///
+/// Every equality connecting the two inputs is one key component — e.g.
+/// `(t2.id, t2.tend + 1) = (t3.id, t3.tstart)` for the adjacent-period
+/// (`tmeets`) join — so rows pair only when all components match. The
+/// right input is drained into a [`KeyIndex`] (an empty right input joins
+/// to nothing, so the left one is then never read); the left input is
+/// sorted stably by key and streamed through it. Output rows are
+/// `left ++ right` in key order, then left-input order, then right-input
+/// order — the order a sort-merge join of the two inputs produces. A NULL
+/// key component never joins. With no key components every pair joins:
+/// the cross product, in left then right input order. The work starts at
+/// the first `next()`.
+pub struct HashJoin {
+    state: JoinState,
 }
 
-/// The running state of one aggregate: the single fold behind
-/// [`GroupAggregate`] and the SQL/XML engine's select-list aggregates.
+enum JoinState {
+    Pending {
+        left: Executor,
+        right: Executor,
+        lkeys: Vec<Expr>,
+        rkeys: Vec<Expr>,
+    },
+    Probing(Probe),
+    Done,
+}
+
+/// A built join being streamed.
+struct Probe {
+    /// The right rows and their keys, entry `e` of `table` for row `e`.
+    table: KeyIndex,
+    right: Vec<Row>,
+    /// The left rows, their keys flat (`arity` values per row), and the
+    /// row numbers in stable key order.
+    left: Vec<Row>,
+    left_keys: Vec<Value>,
+    order: std::vec::IntoIter<u32>,
+    /// The left row being probed and its matches still to emit, the
+    /// first-inserted last.
+    current: usize,
+    matches: Vec<usize>,
+}
+
+impl HashJoin {
+    /// Join where `lkeys` evaluated on the left row equal `rkeys` on the
+    /// right row, component by component (the two lists have the same
+    /// length; both empty for a cross join).
+    pub fn new(left: Executor, right: Executor, lkeys: Vec<Expr>, rkeys: Vec<Expr>) -> Self {
+        HashJoin {
+            state: JoinState::Pending {
+                left,
+                right,
+                lkeys,
+                rkeys,
+            },
+        }
+    }
+
+    /// Build the table from the right input and sort the left one;
+    /// `None` when the right input has no joinable row.
+    fn build(
+        left: Executor,
+        right: Executor,
+        lkeys: &[Expr],
+        rkeys: &[Expr],
+    ) -> Result<Option<Probe>> {
+        let mut key = Vec::with_capacity(rkeys.len());
+        let mut table = KeyIndex::new(rkeys.len());
+        let mut right_rows = Vec::new();
+        for row in right {
+            let row = row?;
+            if eval_key(rkeys, &row, &mut key)? {
+                table.push(&key);
+                right_rows.push(row);
+            }
+        }
+        if right_rows.is_empty() {
+            return Ok(None);
+        }
+        let (mut left_rows, mut left_keys) = (Vec::new(), Vec::new());
+        for row in left {
+            let row = row?;
+            if eval_key(lkeys, &row, &mut key)? {
+                left_keys.append(&mut key);
+                left_rows.push(row);
+            }
+        }
+        let arity = lkeys.len();
+        let key_of = |i: u32| {
+            let i = i as usize;
+            left_keys
+                .get(i * arity..(i + 1) * arity)
+                .unwrap_or_default()
+        };
+        let mut order: Vec<u32> = (0..left_rows.len() as u32).collect();
+        order.sort_by(|&a, &b| cmp_keys(key_of(a), key_of(b)));
+        Ok(Some(Probe {
+            table,
+            right: right_rows,
+            left: left_rows,
+            left_keys,
+            order: order.into_iter(),
+            current: 0,
+            matches: Vec::new(),
+        }))
+    }
+}
+
+/// Evaluate the key expressions on `row` into `key`; `false` when a
+/// component is NULL (the row can never join).
+fn eval_key(exprs: &[Expr], row: &[Value], key: &mut Vec<Value>) -> Result<bool> {
+    key.clear();
+    for e in exprs {
+        key.push(e.eval(row)?);
+    }
+    Ok(!key.iter().any(Value::is_null))
+}
+
+impl Probe {
+    fn next_row(&mut self) -> Option<Row> {
+        loop {
+            if let Some(r) = self.matches.pop() {
+                return Some(concat(self.left.get(self.current)?, self.right.get(r)?));
+            }
+            self.current = self.order.next()? as usize;
+            let at = self.current * self.table.arity;
+            let key = self.left_keys.get(at..at + self.table.arity)?;
+            self.matches.extend(self.table.matches(key));
+        }
+    }
+}
+
+impl Iterator for HashJoin {
+    type Item = RowResult;
+    fn next(&mut self) -> Option<RowResult> {
+        if let JoinState::Pending { .. } = self.state {
+            let JoinState::Pending {
+                left,
+                right,
+                lkeys,
+                rkeys,
+            } = std::mem::replace(&mut self.state, JoinState::Done)
+            else {
+                return None;
+            };
+            match HashJoin::build(left, right, &lkeys, &rkeys) {
+                Ok(Some(probe)) => self.state = JoinState::Probing(probe),
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        match &mut self.state {
+            JoinState::Probing(probe) => probe.next_row().map(Ok),
+            _ => None,
+        }
+    }
+}
+
+/// The running state of one aggregate: the fold behind the SQL/XML
+/// engine's select-list aggregates, updated as each row arrives.
 ///
 /// NULL inputs are skipped. For `AGG(DISTINCT ...)` the inputs are kept
 /// and deduplicated by [`Accumulator::finish`] in O(n log n), then folded
@@ -538,111 +468,33 @@ fn first_seen_distinct(values: Vec<Value>) -> Vec<Value> {
         .collect()
 }
 
-/// Hash group-by with the standard SQL aggregates.
-///
-/// Output rows are `group keys ++ aggregate values`, grouped in first-seen
-/// order. With no group keys, a single global row is produced (even on
-/// empty input, matching SQL semantics) and rows are folded straight into
-/// it.
-pub struct GroupAggregate {
-    output: std::vec::IntoIter<Row>,
-    err: Option<StoreError>,
-}
-
-impl GroupAggregate {
-    /// Group `input` by `group_exprs` and compute `aggs` per group.
-    pub fn new(input: Executor, group_exprs: Vec<Expr>, aggs: Vec<AggSpec>) -> Self {
-        match Self::fold(input, &group_exprs, &aggs) {
-            Ok(rows) => GroupAggregate {
-                output: rows.into_iter(),
-                err: None,
-            },
-            Err(e) => GroupAggregate {
-                output: Vec::new().into_iter(),
-                err: Some(e),
-            },
-        }
-    }
-
-    fn fold(input: Executor, group_exprs: &[Expr], aggs: &[AggSpec]) -> Result<Vec<Row>> {
-        let fresh = || -> Vec<Accumulator> {
-            aggs.iter()
-                .map(|a| Accumulator::new(a.func, false))
-                .collect()
-        };
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        if group_exprs.is_empty() {
-            groups.push((Vec::new(), fresh()));
-        }
-        let mut index: HashMap<String, usize> = HashMap::new();
-        for row in input {
-            let row = row?;
-            let gi = if group_exprs.is_empty() {
-                0
-            } else {
-                let key = group_exprs
-                    .iter()
-                    .map(|g| g.eval(&row))
-                    .collect::<Result<Vec<_>>>()?;
-                *index.entry(format!("{key:?}")).or_insert_with(|| {
-                    groups.push((key, fresh()));
-                    groups.len() - 1
-                })
-            };
-            for (acc, spec) in groups[gi].1.iter_mut().zip(aggs) {
-                acc.update(&spec.arg, &row)?;
-            }
-        }
-        Ok(groups
-            .into_iter()
-            .map(|(mut row, accs)| {
-                row.extend(accs.into_iter().map(Accumulator::finish));
-                row
-            })
-            .collect())
-    }
-}
-
-impl Iterator for GroupAggregate {
-    type Item = RowResult;
-    fn next(&mut self) -> Option<RowResult> {
-        if let Some(e) = self.err.take() {
-            return Some(Err(e));
-        }
-        self.output.next().map(Ok)
-    }
-}
-
-/// Build the scan executor for a planner-selected access path.
+/// Build the scan executor for a planner-selected access path, with the
+/// scan's pushed-down predicate evaluated at the source.
 ///
 /// This is the execution half of [`crate::planner::choose_path`]: `Seq`
 /// streams base storage, `Index` walks the named secondary index, and
-/// `Cluster` range-scans the primary tree. Callers re-apply their full
-/// predicate set on top (every path is a superset of the matching rows),
-/// so a mis-estimated choice degrades speed, never results.
+/// `Cluster` range-scans the primary tree. Every path is a superset of the
+/// matching rows and `pred` is the full predicate set, so a mis-estimated
+/// choice degrades speed, never results.
 pub fn build_scan(
     table: &Table,
     kind: crate::planner::PathKind,
     index: Option<&str>,
     lo: Bound<&[Value]>,
     hi: Bound<&[Value]>,
+    pred: Option<Expr>,
 ) -> Result<Executor> {
     use crate::planner::PathKind;
     Ok(match kind {
-        PathKind::Seq => Box::new(SeqScan::new(table)),
-        PathKind::Cluster => Box::new(table.cluster_range_stream(lo, hi)?),
+        PathKind::Seq => Box::new(table.stream()?.filtered(pred)),
+        PathKind::Cluster => Box::new(table.cluster_range_stream(lo, hi)?.filtered(pred)),
         PathKind::Index => {
             let name = index.ok_or_else(|| {
                 StoreError::NotFound("index path chosen without an index name".into())
             })?;
-            Box::new(IndexRangeScan::new(table, name, lo, hi))
+            Box::new(table.index_range_stream(name, lo, hi)?.filtered(pred))
         }
     })
-}
-
-/// Drain an executor into rows, surfacing the first error.
-pub fn collect_rows(exec: impl Iterator<Item = RowResult>) -> Result<Vec<Row>> {
-    exec.collect()
 }
 
 #[cfg(test)]
@@ -650,240 +502,25 @@ mod tests {
     use super::*;
     use crate::catalog::{Database, StorageKind};
     use crate::expr::BinOp;
+    use crate::planner::PathKind;
     use crate::value::{DataType, Field, Schema};
 
-    fn rows(n: i64) -> Vec<Row> {
-        (0..n)
-            .map(|i| vec![Value::Int(i), Value::Str(format!("r{i}"))])
-            .collect()
-    }
-
-    fn boxed(rows: Vec<Row>) -> Executor {
-        Box::new(SeqScan::from_rows(rows))
-    }
-
+    /// Without key components the join is the cross product, in left
+    /// then right input order.
     #[test]
-    fn filter_project_pipeline() {
-        let plan = Project::new(
-            Box::new(Filter::new(
-                boxed(rows(10)),
-                Expr::bin(BinOp::Ge, Expr::col(0), Expr::lit(Value::Int(7))),
-            )),
-            vec![Expr::col(1)],
-        );
-        let out = collect_rows(plan).unwrap();
-        assert_eq!(
-            out,
-            vec![
-                vec![Value::Str("r7".into())],
-                vec![Value::Str("r8".into())],
-                vec![Value::Str("r9".into())]
-            ]
-        );
-    }
-
-    #[test]
-    fn sort_ascending_descending() {
-        let input = vec![
-            vec![Value::Int(2)],
-            vec![Value::Int(0)],
-            vec![Value::Int(1)],
-        ];
-        let asc = Sort::new(boxed(input.clone()), vec![(Expr::col(0), true)]);
-        let got: Vec<i64> = collect_rows(asc)
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_int().unwrap())
-            .collect();
-        assert_eq!(got, vec![0, 1, 2]);
-        let desc = Sort::new(boxed(input), vec![(Expr::col(0), false)]);
-        let got: Vec<i64> = collect_rows(desc)
-            .unwrap()
-            .iter()
-            .map(|r| r[0].as_int().unwrap())
-            .collect();
-        assert_eq!(got, vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn limit_stops_early() {
-        let out = collect_rows(Limit::new(boxed(rows(100)), 3)).unwrap();
-        assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn nested_loop_join_arbitrary_condition() {
-        let left = vec![vec![Value::Int(1)], vec![Value::Int(5)]];
-        let right = vec![vec![Value::Int(3)], vec![Value::Int(7)]];
-        // join where l.0 < r.0
-        let j = NestedLoopJoin::new(
-            boxed(left),
-            boxed(right),
-            Expr::bin(BinOp::Lt, Expr::col(0), Expr::col(1)),
-        );
-        let out = collect_rows(j).unwrap();
-        assert_eq!(out.len(), 3); // (1,3) (1,7) (5,7)
-    }
-
-    #[test]
-    fn sort_merge_join_with_duplicates() {
-        let left = vec![
-            vec![Value::Int(1), Value::Str("a".into())],
-            vec![Value::Int(2), Value::Str("b".into())],
-            vec![Value::Int(2), Value::Str("c".into())],
-            vec![Value::Int(3), Value::Str("d".into())],
-        ];
-        let right = vec![
-            vec![Value::Int(2), Value::Str("x".into())],
-            vec![Value::Int(2), Value::Str("y".into())],
-            vec![Value::Int(4), Value::Str("z".into())],
-        ];
-        let j = SortMergeJoin::new(
-            boxed(left),
-            boxed(right),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-        );
-        let out = collect_rows(j).unwrap();
-        assert_eq!(out.len(), 4, "2x2 cross product on key 2");
-        for row in &out {
-            assert_eq!(row[0], Value::Int(2));
-            assert_eq!(row[2], Value::Int(2));
-        }
-    }
-
-    #[test]
-    fn sort_merge_join_null_keys_dropped() {
-        let left = vec![vec![Value::Null], vec![Value::Int(1)]];
-        let right = vec![vec![Value::Null], vec![Value::Int(1)]];
-        let j = SortMergeJoin::new(
-            boxed(left),
-            boxed(right),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-        );
-        assert_eq!(collect_rows(j).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn sort_merge_join_with_empty_right_never_pulls_left() {
-        let left: Executor = Box::new(std::iter::from_fn(|| -> Option<RowResult> {
-            panic!("left input pulled")
-        }));
-        let j = SortMergeJoin::new(
-            left,
-            boxed(Vec::new()),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-        );
-        assert!(collect_rows(j).unwrap().is_empty());
-    }
-
-    /// `(id, a + 1) = (id, b)`: rows pair only when every component
-    /// matches, a NULL in any component never joins, and duplicate key
-    /// groups produce their full cross product.
-    #[test]
-    fn sort_merge_join_on_composite_keys() {
-        let row = |id: i64, v: Option<i64>, tag: &str| {
-            vec![
-                Value::Int(id),
-                v.map_or(Value::Null, Value::Int),
-                Value::Str(tag.into()),
-            ]
+    fn hash_join_without_keys_is_the_cross_product() {
+        let ints = |v: &[i64]| -> Executor {
+            let rows: Vec<Row> = v.iter().map(|&i| vec![Value::Int(i)]).collect();
+            Box::new(rows.into_iter().map(Ok))
         };
-        let left = vec![
-            row(1, Some(10), "a"),
-            row(1, Some(10), "b"),
-            row(1, Some(20), "c"),
-            row(2, Some(10), "d"),
-            row(2, None, "e"),
-            row(3, Some(5), "f"),
-        ];
-        let right = vec![
-            row(1, Some(11), "x"),
-            row(1, Some(11), "y"),
-            row(1, Some(21), "z"),
-            row(2, Some(12), "w"),
-            row(2, None, "v"),
-            row(3, Some(6), "u"),
-        ];
-        let lkeys = vec![
-            Expr::col(0),
-            Expr::bin(BinOp::Add, Expr::col(1), Expr::lit(Value::Int(1))),
-        ];
-        let rkeys = vec![Expr::col(0), Expr::col(1)];
-        let j = SortMergeJoin::new(boxed(left), boxed(right), lkeys, rkeys);
-        let pairs: Vec<String> = collect_rows(j)
+        let out: Result<Vec<Row>> =
+            HashJoin::new(ints(&[1, 5]), ints(&[3, 7]), vec![], vec![]).collect();
+        let pairs: Vec<(i64, i64)> = out
             .unwrap()
             .iter()
-            .map(|r| format!("{}{}", r[2], r[5]))
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
             .collect();
-        assert_eq!(pairs, ["ax", "ay", "bx", "by", "cz", "fu"]);
-    }
-
-    #[test]
-    fn group_aggregate_all_functions() {
-        // Rows: (g, v) with NULL v mixed in.
-        let input = vec![
-            vec![Value::Str("a".into()), Value::Int(10)],
-            vec![Value::Str("a".into()), Value::Int(20)],
-            vec![Value::Str("a".into()), Value::Null],
-            vec![Value::Str("b".into()), Value::Int(5)],
-        ];
-        let aggs = vec![
-            AggSpec {
-                func: AggFunc::Count,
-                arg: Expr::col(1),
-            },
-            AggSpec {
-                func: AggFunc::CountStar,
-                arg: Expr::col(1),
-            },
-            AggSpec {
-                func: AggFunc::Sum,
-                arg: Expr::col(1),
-            },
-            AggSpec {
-                func: AggFunc::Avg,
-                arg: Expr::col(1),
-            },
-            AggSpec {
-                func: AggFunc::Min,
-                arg: Expr::col(1),
-            },
-            AggSpec {
-                func: AggFunc::Max,
-                arg: Expr::col(1),
-            },
-        ];
-        let g = GroupAggregate::new(boxed(input), vec![Expr::col(0)], aggs);
-        let out = collect_rows(g).unwrap();
-        assert_eq!(out.len(), 2);
-        let a = &out[0];
-        assert_eq!(a[0], Value::Str("a".into()));
-        assert_eq!(a[1], Value::Int(2), "COUNT skips NULL");
-        assert_eq!(a[2], Value::Int(3), "COUNT(*) does not");
-        assert_eq!(a[3], Value::Int(30));
-        assert_eq!(a[4], Value::Double(15.0));
-        assert_eq!(a[5], Value::Int(10));
-        assert_eq!(a[6], Value::Int(20));
-    }
-
-    #[test]
-    fn global_aggregate_on_empty_input() {
-        let aggs = vec![
-            AggSpec {
-                func: AggFunc::CountStar,
-                arg: Expr::col(0),
-            },
-            AggSpec {
-                func: AggFunc::Sum,
-                arg: Expr::col(0),
-            },
-        ];
-        let g = GroupAggregate::new(boxed(vec![]), vec![], aggs);
-        let out = collect_rows(g).unwrap();
-        assert_eq!(out, vec![vec![Value::Int(0), Value::Null]]);
+        assert_eq!(pairs, [(1, 3), (1, 7), (5, 3), (5, 7)]);
     }
 
     fn fold(func: AggFunc, distinct: bool, values: &[Value]) -> Value {
@@ -972,42 +609,98 @@ mod tests {
         );
     }
 
+    /// Every access path applies its pushed predicate at the source, and
+    /// a predicate that fails on some row surfaces as an `Err` item in its
+    /// place; an unknown index is an error, not silence.
     #[test]
-    fn scans_work_against_real_tables() {
+    fn scans_filter_at_the_source_on_every_path() {
         let db = Database::in_memory();
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]);
         let t = db
-            .create_table(
-                "t",
-                Schema::new(vec![
-                    Field::new("id", DataType::Int),
-                    Field::new("v", DataType::Int),
-                ]),
-                StorageKind::Heap,
-                &[],
-            )
+            .create_table("t", schema, StorageKind::Clustered, &["id"])
             .unwrap();
         t.create_index("by_id", &["id"]).unwrap();
         for i in 0..100 {
             t.insert(vec![Value::Int(i), Value::Int(i * 10)]).unwrap();
         }
-        let all = collect_rows(SeqScan::new(&t)).unwrap();
-        assert_eq!(all.len(), 100);
-        let lo = [Value::Int(10)];
-        let hi = [Value::Int(12)];
-        let some = collect_rows(IndexRangeScan::new(
+        let (lo, hi) = ([Value::Int(10)], [Value::Int(14)]);
+        let scan = |kind, index, pred| {
+            let bounds = (Bound::Included(&lo[..]), Bound::Included(&hi[..]));
+            build_scan(&t, kind, index, bounds.0, bounds.1, Some(pred)).unwrap()
+        };
+        let v_is = |op, v| Expr::bin(op, Expr::col(1), Expr::lit(Value::Int(v)));
+        // Negating a string is a type error, reached once `v < 120` fails.
+        let boom = Expr::Un(
+            crate::expr::UnOp::Neg,
+            Box::new(Expr::lit(Value::Str("x".into()))),
+        );
+        let failing = Expr::bin(BinOp::Or, v_is(BinOp::Lt, 120), boom);
+        for (kind, index) in [
+            (PathKind::Seq, None),
+            (PathKind::Cluster, None),
+            (PathKind::Index, Some("by_id")),
+        ] {
+            let some: Vec<Row> = scan(kind, index, v_is(BinOp::Ne, 110))
+                .collect::<Result<_>>()
+                .unwrap();
+            let ids: Vec<i64> = some.iter().map(|r| r[0].as_int().unwrap()).collect();
+            let want: &[i64] = match kind {
+                PathKind::Seq => &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+                _ => &[10, 12, 13, 14],
+            };
+            assert_eq!(ids.get(..want.len()), Some(want), "{kind:?}");
+            let out: Vec<RowResult> = scan(kind, index, failing.clone()).collect();
+            let first_err = out.iter().position(Result::is_err);
+            assert_eq!(first_err, Some(if kind == PathKind::Seq { 12 } else { 2 }));
+        }
+        let unbounded = Bound::Unbounded;
+        assert!(build_scan(
             &t,
-            "by_id",
-            Bound::Included(&lo[..]),
-            Bound::Included(&hi[..]),
-        ))
-        .unwrap();
-        assert_eq!(some.len(), 3);
-        // Unknown index surfaces as an error, not silence.
-        let bad: Vec<_> = IndexRangeScan::new(&t, "nope", Bound::Unbounded, Bound::Unbounded)
-            .collect::<Result<Vec<_>>>()
-            .err()
-            .into_iter()
-            .collect();
-        assert_eq!(bad.len(), 1);
+            PathKind::Index,
+            Some("nope"),
+            unbounded,
+            unbounded,
+            None
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn key_index_finds_every_equal_entry_across_growth() {
+        let mut idx = KeyIndex::new(2);
+        let key = |a: i64, b: i64| [Value::Int(a), Value::Int(b)];
+        for i in 0..1000 {
+            idx.push(&key(i % 7, i % 3));
+        }
+        let mut seen: Vec<usize> = idx.matches(&key(3, 1)).collect();
+        seen.reverse();
+        let want: Vec<usize> = (0..1000).filter(|i| i % 7 == 3 && i % 3 == 1).collect();
+        assert_eq!(seen, want);
+        assert_eq!(idx.find_or_push(&key(3, 1)), (want[want.len() - 1], false));
+        assert_eq!(idx.find_or_push(&key(3, 9)), (1000, true));
+    }
+
+    #[test]
+    fn key_hash_agrees_with_total_cmp_equality() {
+        let equal = [
+            (vec![Value::Int(1)], vec![Value::Double(1.0)]),
+            (vec![Value::Double(0.0)], vec![Value::Double(-0.0)]),
+            (
+                vec![Value::Null, Value::Int(-4)],
+                vec![Value::Null, Value::Double(-4.0)],
+            ),
+            (vec![Value::Str("ab".into())], vec![Value::Str("ab".into())]),
+        ];
+        for (a, b) in &equal {
+            assert!(cmp_keys(a, b).is_eq());
+            assert_eq!(hash_key(a), hash_key(b), "{a:?} {b:?}");
+        }
+        assert_ne!(
+            hash_key(&[Value::Str("ab".into())]),
+            hash_key(&[Value::Str("ba".into())])
+        );
     }
 }

@@ -14,6 +14,7 @@
 
 use crate::value::Value;
 use crate::{Result, StoreError};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -61,7 +62,7 @@ pub enum UnOp {
     IsNotNull,
 }
 
-/// Aggregate functions for [`crate::exec::GroupAggregate`].
+/// Aggregate functions, folded by [`crate::exec::Accumulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// `COUNT(expr)` — non-NULL inputs.
@@ -125,13 +126,9 @@ impl Expr {
     /// Evaluate against a row.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
-            Expr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| StoreError::Eval(format!("column index {i} out of range"))),
-            Expr::Lit(v) => Ok(v.clone()),
+            Expr::Col(_) | Expr::Lit(_) => self.operand(row).map(Cow::into_owned),
             Expr::Un(op, e) => {
-                let v = e.eval(row)?;
+                let v = e.operand(row)?;
                 Ok(match op {
                     UnOp::IsNull => Value::Int(v.is_null() as i64),
                     UnOp::IsNotNull => Value::Int(!v.is_null() as i64),
@@ -139,11 +136,13 @@ impl Expr {
                         Some(b) => Value::Int(!b as i64),
                         None => Value::Null,
                     },
-                    UnOp::Neg => match v {
+                    UnOp::Neg => match *v {
                         Value::Int(i) => Value::Int(-i),
                         Value::Double(d) => Value::Double(-d),
                         Value::Null => Value::Null,
-                        other => return Err(StoreError::Eval(format!("cannot negate {other}"))),
+                        ref other => {
+                            return Err(StoreError::Eval(format!("cannot negate {other}")))
+                        }
                     },
                 })
             }
@@ -152,19 +151,19 @@ impl Expr {
                 // only when the left one does not decide.
                 if let BinOp::And | BinOp::Or = op {
                     let decides = *op == BinOp::Or;
-                    let lv = truth(&l.eval(row)?);
+                    let lv = truth(&*l.operand(row)?);
                     if lv == Some(decides) {
                         return Ok(Value::Int(decides as i64));
                     }
-                    let rv = truth(&r.eval(row)?);
+                    let rv = truth(&*r.operand(row)?);
                     return Ok(match (lv, rv) {
                         (_, Some(b)) if b == decides => Value::Int(decides as i64),
                         (Some(_), Some(_)) => Value::Int(!decides as i64),
                         _ => Value::Null,
                     });
                 }
-                let lv = l.eval(row)?;
-                let rv = r.eval(row)?;
+                let lv = l.operand(row)?;
+                let rv = r.operand(row)?;
                 match op {
                     BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                         Ok(match lv.sql_cmp(&rv) {
@@ -183,11 +182,20 @@ impl Expr {
                             }
                         })
                     }
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, lv, rv),
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, &lv, &rv),
                     BinOp::And | BinOp::Or => unreachable!(),
                 }
             }
             Expr::Call(f, args) => {
+                // Calls of up to four arguments — every temporal built-in —
+                // evaluate them on the stack; only wider calls allocate.
+                let mut inline: [Value; 4] = std::array::from_fn(|_| Value::Null);
+                if let Some(vals) = inline.get_mut(..args.len()) {
+                    for (v, a) in vals.iter_mut().zip(args) {
+                        *v = a.eval(row)?;
+                    }
+                    return (f.f)(vals);
+                }
                 let vals = args
                     .iter()
                     .map(|a| a.eval(row))
@@ -197,9 +205,22 @@ impl Expr {
         }
     }
 
+    /// An operand's value, borrowed from the row or the literal when the
+    /// expression is one (so comparing a string column allocates nothing).
+    fn operand<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
+        match self {
+            Expr::Col(i) => row
+                .get(*i)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| StoreError::Eval(format!("column index {i} out of range"))),
+            Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+            e => e.eval(row).map(Cow::Owned),
+        }
+    }
+
     /// Evaluate as a predicate: NULL counts as false.
     pub fn eval_bool(&self, row: &[Value]) -> Result<bool> {
-        Ok(truth(&self.eval(row)?).unwrap_or(false))
+        Ok(truth(&*self.operand(row)?).unwrap_or(false))
     }
 }
 
@@ -214,25 +235,25 @@ pub fn truth(v: &Value) -> Option<bool> {
     }
 }
 
-fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
+fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     // Date ± Int (days) arithmetic, used by temporal slicing rewrites.
-    if let (Value::Date(d), Value::Int(n)) = (&l, &r) {
+    if let (Value::Date(d), Value::Int(n)) = (l, r) {
         return Ok(match op {
             BinOp::Add => Value::Date(*d + *n as i32),
             BinOp::Sub => Value::Date(*d - *n as i32),
             _ => return Err(StoreError::Eval("only +/- defined on dates".into())),
         });
     }
-    if let (Value::Date(a), Value::Date(b)) = (&l, &r) {
+    if let (Value::Date(a), Value::Date(b)) = (l, r) {
         if op == BinOp::Sub {
             return Ok(Value::Int(a.days_since(*b) as i64));
         }
     }
     // Integer arithmetic stays integral except for division (exact).
-    if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
         return Ok(match op {
             BinOp::Add => Value::Int(a + b),
             BinOp::Sub => Value::Int(a - b),
@@ -468,6 +489,10 @@ mod tests {
             .unwrap();
         assert_eq!(call.eval(&[]).unwrap(), Value::Int(42));
         assert!(matches!(&call, Expr::Call(f, _) if f.name() == "double_it"));
+        // Wider than the four arguments evaluated on the stack.
+        fns.register("arity", |args| Ok(Value::Int(args.len() as i64)));
+        let six = (0..6).map(|i| Expr::lit(Value::Int(i))).collect();
+        assert_eq!(ev(&fns.call("arity", six).unwrap(), &[]), Value::Int(6));
         assert!(
             fns.call("nope", vec![]).is_err(),
             "unknown names fail at bind time"

@@ -257,14 +257,16 @@ impl HeapFile {
     }
 
     /// Streaming cursor over the chain: records arrive one page at a time,
-    /// and at most one frame is pinned at any moment (the page currently
-    /// being copied out). This is what lets executor scans terminate early
-    /// without paying for the whole table.
+    /// and a frame is latched only while its page is copied into the
+    /// cursor's own buffer. This is what lets executor scans terminate
+    /// early without paying for the whole table.
     pub fn cursor(&self) -> HeapCursor {
         HeapCursor {
             pool: self.pool.clone(),
             next_page: Some(self.first),
-            batch: Vec::new().into_iter(),
+            page: Vec::new(),
+            page_id: self.first,
+            slot: 0,
             failed: false,
         }
     }
@@ -307,31 +309,58 @@ impl HeapFile {
 pub struct HeapCursor {
     pool: Arc<BufferPool>,
     next_page: Option<PageId>,
-    batch: std::vec::IntoIter<(RecordId, Vec<u8>)>,
+    /// The current page, copied out of its frame: records are read from
+    /// here with no latch held, and the buffer is reused page after page.
+    page: Vec<u8>,
+    page_id: PageId,
+    /// Next slot of `page` to look at.
+    slot: usize,
     failed: bool,
 }
 
 impl HeapCursor {
-    /// Copy one page's records into the batch and release the frame.
+    /// Copy page `id` into the cursor's buffer, holding the frame's latch
+    /// for the copy only.
     fn load(&mut self, id: PageId) -> Result<()> {
         let frame = self.pool.get(id)?;
         let guard = frame.read();
-        let page = PageView::new(&guard.data[..]);
-        let recs: Vec<(RecordId, Vec<u8>)> = page
-            .records()
-            .map(|(slot, rec)| {
-                (
-                    RecordId {
-                        page: id,
-                        slot: slot as u16,
-                    },
-                    rec.to_vec(),
-                )
-            })
-            .collect();
-        self.next_page = page.next_page();
-        self.batch = recs.into_iter();
+        self.page.clear();
+        self.page.extend_from_slice(&guard.data[..]);
+        drop(guard);
+        self.next_page = PageView::new(&self.page).next_page();
+        self.page_id = id;
+        self.slot = 0;
         Ok(())
+    }
+
+    /// The next live record, borrowed from the cursor's copy of its page
+    /// (no allocation per record). After an error the cursor is done.
+    pub(crate) fn next_record(&mut self) -> Option<Result<(RecordId, &[u8])>> {
+        let slot = loop {
+            if self.failed {
+                return None;
+            }
+            if !self.page.is_empty() {
+                let page = PageView::new(&self.page);
+                let live = (self.slot..page.slot_count()).find(|&s| page.get(s).is_some());
+                if let Some(s) = live {
+                    self.slot = s + 1;
+                    break s;
+                }
+            }
+            let id = self.next_page.take()?;
+            if let Err(e) = self.load(id) {
+                self.failed = true;
+                return Some(Err(e));
+            }
+        };
+        let rid = RecordId {
+            page: self.page_id,
+            slot: slot as u16,
+        };
+        PageView::new(&self.page)
+            .get(slot)
+            .map(|rec| Ok((rid, rec)))
     }
 }
 
@@ -339,19 +368,8 @@ impl Iterator for HeapCursor {
     type Item = Result<(RecordId, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.failed {
-                return None;
-            }
-            if let Some(item) = self.batch.next() {
-                return Some(Ok(item));
-            }
-            let id = self.next_page.take()?;
-            if let Err(e) = self.load(id) {
-                self.failed = true;
-                return Some(Err(e));
-            }
-        }
+        self.next_record()
+            .map(|r| r.map(|(rid, rec)| (rid, rec.to_vec())))
     }
 }
 
@@ -364,10 +382,20 @@ pub struct HeapReader {
 impl HeapReader {
     /// Read a record by address. `None` if it was deleted.
     pub fn get(&self, rid: RecordId) -> Result<Option<Vec<u8>>> {
+        self.with_record(rid, <[u8]>::to_vec)
+    }
+
+    /// Apply `f` to the record at `rid` in place, under the page's shared
+    /// latch; `None` if it was deleted. `f` runs with the latch held, so it
+    /// should only copy or decode the bytes.
+    pub(crate) fn with_record<T>(
+        &self,
+        rid: RecordId,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<Option<T>> {
         let frame = self.pool.get(rid.page)?;
         let guard = frame.read();
-        let page = PageView::new(&guard.data[..]);
-        Ok(page.get(rid.slot as usize).map(|r| r.to_vec()))
+        Ok(PageView::new(&guard.data[..]).get(rid.slot as usize).map(f))
     }
 }
 

@@ -16,8 +16,8 @@
 //! * [`heap`] — chained heap files (DB2-style base tables),
 //! * [`table`] / [`catalog`] — typed tables with automatic index
 //!   maintenance,
-//! * [`exec`] — an iterator (Volcano-style) executor: scans, filter,
-//!   project, sort, sort-merge and nested-loop joins, grouped aggregation,
+//! * [`exec`] — an iterator (Volcano-style) executor: scans that filter
+//!   at the source, the hash join, the aggregate fold,
 //! * [`expr`] — row expressions with a scalar UDF registry (the paper's
 //!   temporal built-ins plug in here).
 //!
@@ -45,10 +45,7 @@ pub mod wal;
 pub use btree::BTree;
 pub use buffer::{BufferPool, IoStats};
 pub use catalog::{Database, Snapshot, StorageKind};
-pub use exec::{
-    Executor, Filter, GroupAggregate, IndexRangeScan, Limit, NestedLoopJoin, Project, Row, SeqScan,
-    Sort, SortMergeJoin,
-};
+pub use exec::{Executor, Filter, HashJoin, Row};
 pub use expr::{AggFunc, BinOp, Expr, ScalarFn, UnOp};
 pub use failpoint::{
     flip_bit_at, BitRot, FailChannel, FailLog, FailPager, Failpoints, FlippedBit, ShipmentFate,

@@ -14,10 +14,12 @@
 use crate::btree::{BTree, RangeIter};
 use crate::buffer::BufferPool;
 use crate::catalog::StorageKind;
+use crate::exec::{keep, Row};
+use crate::expr::Expr;
 use crate::heap::{HeapCursor, HeapFile, HeapReader, HeapTail, RecordId};
-use crate::value::{decode_row, encode_key, encode_row, Schema, Value};
+use crate::value::{decode_row, decode_row_into, encode_key, encode_row, Schema, Value};
 use crate::{Result, StoreError};
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -481,9 +483,9 @@ impl Table {
         self.stream()?.collect()
     }
 
-    /// Streaming full scan: rows arrive page-at-a-time with at most one
-    /// frame pinned, in the same order as [`Table::scan`]. The iterator
-    /// owns its storage handles, so it does not borrow the table.
+    /// Streaming full scan: rows arrive page-at-a-time, in the same order
+    /// as [`Table::scan`]. The iterator owns its storage handles, so it
+    /// does not borrow the table.
     pub fn stream(&self) -> Result<RowStream> {
         let inner = match self.kind {
             StorageKind::Heap => RowStreamInner::Heap(self.heap_store()?.cursor()),
@@ -492,27 +494,21 @@ impl Table {
                     .range(Bound::Unbounded, Bound::Unbounded)?,
             ),
         };
-        Ok(RowStream { inner })
+        Ok(RowStream::new(inner))
     }
 
     /// Fetch the row behind an index payload handle.
     fn fetch(&self, handle: &[u8]) -> Result<Option<Vec<Value>>> {
-        match self.kind {
-            StorageKind::Heap => {
-                let rid = RecordId::from_bytes(handle)?;
-                match self.heap_store()?.get(rid)? {
-                    Some(bytes) => Ok(Some(decode_row(&bytes)?)),
-                    None => Ok(None),
-                }
-            }
-            StorageKind::Clustered => {
-                let vals = self.tree_store()?.get(handle)?;
-                match vals.first() {
-                    Some(bytes) => Ok(Some(decode_row(bytes)?)),
-                    None => Ok(None),
-                }
-            }
-        }
+        let mut row = Vec::new();
+        Ok(self.fetcher()?.fetch_into(handle, &mut row)?.then_some(row))
+    }
+
+    /// An owning reader of rows by index payload handle.
+    fn fetcher(&self) -> Result<RowFetcher> {
+        Ok(match self.kind {
+            StorageKind::Heap => RowFetcher::Heap(self.heap_store()?.reader()),
+            StorageKind::Clustered => RowFetcher::Clustered(self.tree_store()?.clone_handle()),
+        })
     }
 
     /// Rows whose index key equals `key_values` exactly, via index `index`.
@@ -565,32 +561,12 @@ impl Table {
                 .ok_or_else(|| StoreError::NotFound(format!("index {index} on {}", self.name)))?
         };
         // Same inclusive-prefix widening as the index scan path.
-        let hi_owned: Bound<Vec<u8>>;
-        let hi = match hi {
-            Bound::Included(k) => match crate::btree::prefix_upper(k) {
-                Some(h) => {
-                    hi_owned = Bound::Excluded(h);
-                    as_bound_slice(&hi_owned)
-                }
-                None => Bound::Unbounded,
-            },
-            other => other,
-        };
+        let hi = widen(hi);
         let mut keyed: Vec<(Vec<u8>, Vec<Value>)> = Vec::new();
         for r in self.stream()? {
             let row = r?;
             let key = encode_key(&select(&row, &cols));
-            let above_lo = match lo {
-                Bound::Included(k) => key.as_slice() >= k,
-                Bound::Excluded(k) => key.as_slice() > k,
-                Bound::Unbounded => true,
-            };
-            let below_hi = match hi {
-                Bound::Included(k) => key.as_slice() <= k,
-                Bound::Excluded(k) => key.as_slice() < k,
-                Bound::Unbounded => true,
-            };
-            if above_lo && below_hi {
+            if (lo, as_bound_slice(&hi)).contains(&key.as_slice()) {
                 keyed.push((key, row));
             }
         }
@@ -609,20 +585,9 @@ impl Table {
         index: &str,
         lo: Bound<&[Value]>,
         hi: Bound<&[Value]>,
-    ) -> Result<IndexRowStream> {
-        let lo_k = map_bound_enc(lo);
-        let hi_k = match hi {
-            Bound::Included(vals) => {
-                let enc = encode_key(vals);
-                match crate::btree::prefix_upper(&enc) {
-                    Some(h) => Bound::Excluded(h),
-                    None => Bound::Unbounded,
-                }
-            }
-            Bound::Excluded(vals) => Bound::Excluded(encode_key(vals)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        self.index_stream_raw(index, as_bound_slice(&lo_k), as_bound_slice(&hi_k))
+    ) -> Result<RowStream> {
+        let (lo, hi) = (map_bound_enc(lo), map_bound_enc(hi));
+        self.index_stream_raw(index, as_bound_slice(&lo), as_bound_slice(&hi))
     }
 
     fn index_stream_raw(
@@ -630,46 +595,23 @@ impl Table {
         index: &str,
         lo: Bound<&[u8]>,
         hi: Bound<&[u8]>,
-    ) -> Result<IndexRowStream> {
+    ) -> Result<RowStream> {
         let indexes = self.indexes.read();
         let idx = indexes
             .iter()
             .find(|i| i.def.name == index)
             .ok_or_else(|| StoreError::NotFound(format!("index {index} on {}", self.name)))?;
-        // For an inclusive point lookup the key encodes a prefix; extend the
-        // upper bound so longer composite keys with this prefix match too.
-        let hi_owned: Bound<Vec<u8>>;
-        let hi = match hi {
-            Bound::Included(k) => match crate::btree::prefix_upper(k) {
-                Some(h) => {
-                    hi_owned = Bound::Excluded(h);
-                    as_bound_slice(&hi_owned)
-                }
-                None => Bound::Unbounded,
-            },
-            other => other,
-        };
-        let entries = idx.tree.range(lo, hi)?;
-        let fetch = match self.kind {
-            StorageKind::Heap => RowFetcher::Heap(self.heap_store()?.reader()),
-            StorageKind::Clustered => RowFetcher::Clustered(self.tree_store()?.clone_handle()),
-        };
-        Ok(IndexRowStream { entries, fetch })
+        let entries = idx.tree.range(lo, as_bound_slice(&widen(hi)))?;
+        Ok(RowStream::new(RowStreamInner::Index(
+            entries,
+            self.fetcher()?,
+        )))
     }
 
     /// Range scan over the *primary* clustered B+tree by a cluster-key
     /// (prefix) range — the fast path for `segno = n` segment restrictions
-    /// on segment-clustered history tables. Errors on heap tables.
-    pub fn cluster_range(
-        &self,
-        lo: Bound<&[Value]>,
-        hi: Bound<&[Value]>,
-    ) -> Result<Vec<Vec<Value>>> {
-        self.cluster_range_stream(lo, hi)?.collect()
-    }
-
-    /// Streaming variant of [`Table::cluster_range`]: walks the primary
-    /// tree's leaf chain lazily in cluster-key order.
+    /// on segment-clustered history tables. Walks the leaf chain lazily in
+    /// cluster-key order; errors on heap tables.
     pub fn cluster_range_stream(
         &self,
         lo: Bound<&[Value]>,
@@ -679,20 +621,10 @@ impl Table {
             .clustered
             .as_ref()
             .ok_or_else(|| StoreError::SchemaMismatch(format!("{} is not clustered", self.name)))?;
-        let lo_k = map_bound_enc(lo);
-        // Inclusive upper bounds on prefixes must cover longer keys.
-        let hi_k = match hi {
-            Bound::Included(v) => match crate::btree::prefix_upper(&encode_key(v)) {
-                Some(h) => Bound::Excluded(h),
-                None => Bound::Unbounded,
-            },
-            Bound::Excluded(v) => Bound::Excluded(encode_key(v)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let iter = tree.range(as_bound_slice(&lo_k), as_bound_slice(&hi_k))?;
-        Ok(RowStream {
-            inner: RowStreamInner::Clustered(iter),
-        })
+        let (lo, hi) = (map_bound_enc(lo), map_bound_enc(hi));
+        let hi = widen(as_bound_slice(&hi));
+        let iter = tree.range(as_bound_slice(&lo), as_bound_slice(&hi))?;
+        Ok(RowStream::new(RowStreamInner::Clustered(iter)))
     }
 
     /// `(handle, row)` pairs whose index key equals `key_values` (prefix
@@ -1013,42 +945,23 @@ impl Table {
     }
 }
 
-/// Streaming iterator over a table's rows (see [`Table::stream`] and
-/// [`Table::cluster_range_stream`]). Owns its storage handles; at most one
-/// buffer-pool frame is pinned at any moment.
+/// Streaming iterator over a table's rows (see [`Table::stream`],
+/// [`Table::cluster_range_stream`] and [`Table::index_range_stream`]).
+/// Owns its storage handles. Each row is decoded into one reused buffer —
+/// straight from the stream's copy of its page, or, fetched through an
+/// index, under its page's latch; with a predicate
+/// ([`RowStream::filtered`]) a row is copied out only when it passes.
 pub struct RowStream {
     inner: RowStreamInner,
+    pred: Option<Expr>,
+    buf: Row,
 }
 
 enum RowStreamInner {
     Heap(HeapCursor),
     Clustered(RangeIter),
-}
-
-impl Iterator for RowStream {
-    type Item = Result<Vec<Value>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            RowStreamInner::Heap(c) => c
-                .next()
-                .map(|r| r.and_then(|(_, bytes)| decode_row(&bytes))),
-            RowStreamInner::Clustered(it) => match it.next() {
-                Some((_, bytes)) => Some(decode_row(&bytes)),
-                // A corrupt leaf ends the walk early; surface it rather
-                // than passing off a truncated scan as complete.
-                None => it.take_error().map(Err),
-            },
-        }
-    }
-}
-
-/// Streaming iterator over index-selected rows (see
-/// [`Table::index_range_stream`]): walks index entries lazily and fetches
-/// each row on demand through an owning fetcher.
-pub struct IndexRowStream {
-    entries: RangeIter,
-    fetch: RowFetcher,
+    /// Index entries in key order, each row fetched by its handle.
+    Index(RangeIter, RowFetcher),
 }
 
 enum RowFetcher {
@@ -1056,28 +969,73 @@ enum RowFetcher {
     Clustered(BTree),
 }
 
-impl Iterator for IndexRowStream {
+impl RowStream {
+    fn new(inner: RowStreamInner) -> Self {
+        RowStream {
+            inner,
+            pred: None,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Yield only the rows `pred` accepts (all rows for `None`). The
+    /// predicate runs on the decode buffer after the page's latch is
+    /// released; a row it rejects is never copied.
+    pub fn filtered(mut self, pred: Option<Expr>) -> Self {
+        self.pred = pred;
+        self
+    }
+}
+
+impl RowFetcher {
+    /// Decode the row behind an index payload handle into `buf`; `false`
+    /// if the entry points at a deleted row (lazy index deletion).
+    fn fetch_into(&self, handle: &[u8], buf: &mut Row) -> Result<bool> {
+        let decoded = match self {
+            RowFetcher::Heap(reader) => {
+                reader.with_record(RecordId::from_bytes(handle)?, |b| decode_row_into(b, buf))?
+            }
+            RowFetcher::Clustered(tree) => {
+                let mut it = tree.range(Bound::Included(handle), Bound::Included(handle))?;
+                match it.next_entry() {
+                    Some((_, bytes)) => Some(decode_row_into(bytes, buf)),
+                    None => it.take_error().map(Err),
+                }
+            }
+        };
+        decoded.transpose().map(|found| found.is_some())
+    }
+}
+
+impl Iterator for RowStream {
     type Item = Result<Vec<Value>>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        let RowStream { inner, pred, buf } = self;
         loop {
-            let Some((_, handle)) = self.entries.next() else {
-                // A corrupt index leaf parks an error instead of yielding;
-                // surface it so callers can fall back or report.
-                return self.entries.take_error().map(Err);
+            let decoded = match inner {
+                RowStreamInner::Heap(c) => c
+                    .next_record()?
+                    .and_then(|(_, bytes)| decode_row_into(bytes, buf).map(|()| true)),
+                // A corrupt leaf (of the table or of the index) ends the
+                // walk early; surface it rather than passing off a
+                // truncated scan as complete.
+                RowStreamInner::Clustered(it) => match it.next_entry() {
+                    Some((_, bytes)) => decode_row_into(bytes, buf).map(|()| true),
+                    None => return it.take_error().map(Err),
+                },
+                RowStreamInner::Index(entries, fetch) => match entries.next_entry() {
+                    Some((_, handle)) => fetch.fetch_into(handle, buf),
+                    None => return entries.take_error().map(Err),
+                },
             };
-            let fetched: Result<Option<Vec<Value>>> = match &self.fetch {
-                RowFetcher::Heap(reader) => RecordId::from_bytes(&handle)
-                    .and_then(|rid| reader.get(rid))
-                    .and_then(|b| b.map(|bytes| decode_row(&bytes)).transpose()),
-                RowFetcher::Clustered(tree) => tree
-                    .get(&handle)
-                    .and_then(|vals| vals.first().map(|bytes| decode_row(bytes)).transpose()),
-            };
-            match fetched {
-                Ok(Some(row)) => return Some(Ok(row)),
-                // Entry points at a deleted row (lazy index deletion).
-                Ok(None) => continue,
+            match decoded {
+                Ok(true) => {
+                    if let Some(row) = keep(pred.as_ref(), buf) {
+                        return Some(row);
+                    }
+                }
+                Ok(false) => {}
                 Err(e) => return Some(Err(e)),
             }
         }
@@ -1092,6 +1050,19 @@ fn map_bound_enc(b: Bound<&[Value]>) -> Bound<Vec<u8>> {
     match b {
         Bound::Included(v) => Bound::Included(encode_key(v)),
         Bound::Excluded(v) => Bound::Excluded(encode_key(v)),
+        Bound::Unbounded => Bound::Unbounded,
+    }
+}
+
+/// An upper bound on encoded keys, an inclusive one widened to cover
+/// every longer key with that prefix (composite keys, cluster-key
+/// uniquifiers).
+fn widen(hi: Bound<&[u8]>) -> Bound<Vec<u8>> {
+    match hi {
+        Bound::Included(k) => {
+            crate::btree::prefix_upper(k).map_or(Bound::Unbounded, Bound::Excluded)
+        }
+        Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
         Bound::Unbounded => Bound::Unbounded,
     }
 }

@@ -110,7 +110,7 @@ impl Value {
     }
 
     /// Total order for sorting (NULLs first, then by type tag, then value).
-    /// Used by `ORDER BY` and sort-merge join.
+    /// Used by `ORDER BY`, join keys and `GROUP BY`.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn tag(v: &Value) -> u8 {
             match v {
@@ -267,69 +267,81 @@ pub fn decode_row(data: &[u8]) -> Result<Vec<Value>> {
     Ok(row)
 }
 
-/// Like [`decode_row`], but decodes into a caller-supplied buffer
-/// (cleared first) so bulk decoders — e.g. block decompression — can
-/// recycle row allocations instead of growing a fresh `Vec` per row.
+/// Like [`decode_row`], but decodes into a caller-supplied buffer so scans
+/// and bulk decoders (block decompression) recycle row allocations instead
+/// of growing a fresh `Vec` per row. Values are overwritten in place: a
+/// string or blob column refills the buffer the previous row left in that
+/// position, so decoding row after row of one table allocates nothing once
+/// the buffer has grown. On error the buffer's contents are unspecified.
 pub fn decode_row_into(data: &[u8], row: &mut Vec<Value>) -> Result<()> {
-    let corrupt = || StoreError::corrupt(crate::CorruptObject::Row, "truncated row");
-    if data.len() < 2 {
-        return Err(corrupt());
-    }
-    let n = u16::from_be_bytes([data[0], data[1]]) as usize;
-    row.clear();
-    row.reserve(n);
-    let mut pos = 2usize;
-    let take = |pos: &mut usize, k: usize| -> Result<&[u8]> {
-        let s = data.get(*pos..*pos + k).ok_or_else(corrupt)?;
-        *pos += k;
-        Ok(s)
-    };
-    for _ in 0..n {
-        let tag = *data.get(pos).ok_or_else(corrupt)?;
-        pos += 1;
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => {
-                let b = take(&mut pos, 8)?;
-                Value::Int(i64::from_be_bytes(b.try_into().unwrap()))
+    let mut r = Reader { data, pos: 0 };
+    let n = u16::from_be_bytes(r.array()?) as usize;
+    row.truncate(n);
+    for i in 0..n {
+        let old = row.get_mut(i);
+        let v = match r.array::<1>()? {
+            [TAG_NULL] => Value::Null,
+            [TAG_INT] => Value::Int(i64::from_be_bytes(r.array()?)),
+            [TAG_DOUBLE] => Value::Double(f64::from_bits(u64::from_be_bytes(r.array()?))),
+            [TAG_STR] => {
+                let len = u32::from_be_bytes(r.array()?) as usize;
+                let s = std::str::from_utf8(r.take(len)?).map_err(|_| {
+                    StoreError::corrupt(crate::CorruptObject::Row, "invalid utf-8 in row")
+                })?;
+                if let Some(Value::Str(buf)) = old {
+                    buf.clear();
+                    buf.push_str(s);
+                    continue;
+                }
+                Value::Str(s.to_string())
             }
-            TAG_DOUBLE => {
-                let b = take(&mut pos, 8)?;
-                Value::Double(f64::from_bits(u64::from_be_bytes(b.try_into().unwrap())))
+            [TAG_DATE] => Value::Date(Date::from_day_number(i32::from_be_bytes(r.array()?))),
+            [TAG_BLOB] => {
+                let len = u32::from_be_bytes(r.array()?) as usize;
+                let b = r.take(len)?;
+                if let Some(Value::Blob(buf)) = old {
+                    buf.clear();
+                    buf.extend_from_slice(b);
+                    continue;
+                }
+                Value::Blob(b.to_vec())
             }
-            TAG_STR => {
-                let lb = take(&mut pos, 4)?;
-                let len = u32::from_be_bytes(lb.try_into().unwrap()) as usize;
-                let sb = take(&mut pos, len)?;
-                Value::Str(
-                    std::str::from_utf8(sb)
-                        .map_err(|_| {
-                            StoreError::corrupt(crate::CorruptObject::Row, "invalid utf-8 in row")
-                        })?
-                        .to_string(),
-                )
-            }
-            TAG_DATE => {
-                let b = take(&mut pos, 4)?;
-                Value::Date(Date::from_day_number(i32::from_be_bytes(
-                    b.try_into().unwrap(),
-                )))
-            }
-            TAG_BLOB => {
-                let lb = take(&mut pos, 4)?;
-                let len = u32::from_be_bytes(lb.try_into().unwrap()) as usize;
-                Value::Blob(take(&mut pos, len)?.to_vec())
-            }
-            t => {
+            [t] => {
                 return Err(StoreError::corrupt(
                     crate::CorruptObject::Row,
                     format!("unknown value tag {t}"),
                 ))
             }
         };
-        row.push(v);
+        match old {
+            Some(slot) => *slot = v,
+            None => row.push(v),
+        }
     }
     Ok(())
+}
+
+/// A cursor over an encoded row; running past the end is a corrupt row.
+struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, k: usize) -> Result<&'a [u8]> {
+        let s = self
+            .data
+            .get(self.pos..self.pos + k)
+            .ok_or_else(|| StoreError::corrupt(crate::CorruptObject::Row, "truncated row"))?;
+        self.pos += k;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -424,6 +436,29 @@ mod tests {
     #[test]
     fn empty_row_roundtrip() {
         assert_eq!(decode_row(&encode_row(&[])).unwrap(), Vec::<Value>::new());
+    }
+
+    /// Decoding into a used buffer overwrites every position, whatever
+    /// the previous row held there and however long it was.
+    #[test]
+    fn decode_into_reused_buffer_matches_fresh_decode() {
+        let rows = [
+            vec![Value::Str("long name".into()), Value::Int(1), Value::Null],
+            vec![Value::Int(2), Value::Str("x".into())],
+            vec![
+                Value::Str("y".into()),
+                Value::Blob(vec![1, 2]),
+                Value::Date(d("1995-01-01")),
+                Value::Double(0.5),
+            ],
+            vec![Value::Blob(vec![9]), Value::Str(String::new())],
+            vec![],
+        ];
+        let mut buf = Vec::new();
+        for row in rows.iter().chain(rows.iter().rev()) {
+            decode_row_into(&encode_row(row), &mut buf).unwrap();
+            assert_eq!(&buf, row);
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! reference implementations.
 
 use proptest::prelude::*;
-use relstore::exec::{collect_rows, Filter, NestedLoopJoin, Row, SeqScan, Sort, SortMergeJoin};
+use relstore::exec::{Executor, Filter, HashJoin, Row, RowResult};
 use relstore::expr::{BinOp, Expr};
-use relstore::Value;
+use relstore::{StoreError, Value};
+use std::cmp::Ordering;
 
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(
@@ -13,20 +14,76 @@ fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     )
 }
 
-/// The multiset of output rows (join output order may differ).
-fn norm(mut v: Vec<Row>) -> Vec<Row> {
-    v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    v
+/// A key component: NULL, or a small number as an `Int` or an equal
+/// `Double`.
+fn arb_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        1 => Just(Value::Null),
+        3 => (0i64..4).prop_map(Value::Int),
+        2 => (0i64..4).prop_map(|k| Value::Double(k as f64)),
+    ]
+}
+
+/// Rows `[k, d, tag]`: few distinct keys, so duplicates on both sides are
+/// the rule; the tag (the row's input position) makes order visible.
+fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec((arb_key(), arb_key()), 0..24).prop_map(|rows| {
+        rows.into_iter()
+            .enumerate()
+            .map(|(i, (k, d))| vec![k, d, Value::Int(i as i64)])
+            .collect()
+    })
+}
+
+fn rows_of(rows: &[Row]) -> Executor {
+    let owned: Vec<Row> = rows.to_vec();
+    Box::new(owned.into_iter().map(Ok))
+}
+
+/// The reference join: a nested loop over left then right input order,
+/// keeping pairs whose key components are all non-NULL and equal under
+/// `total_cmp`, then a stable sort by key — key order, then left-input
+/// order, then right-input order.
+fn reference_join(left: &[Row], right: &[Row], lkeys: &[Expr], rkeys: &[Expr]) -> Vec<Row> {
+    let key = |keys: &[Expr], row: &Row| -> Vec<Value> {
+        keys.iter().map(|k| k.eval(row).unwrap()).collect()
+    };
+    let mut pairs: Vec<(Vec<Value>, Row)> = Vec::new();
+    for l in left {
+        let lk = key(lkeys, l);
+        for r in right {
+            let rk = key(rkeys, r);
+            let joins = lk.iter().all(|v| !v.is_null())
+                && lk
+                    .iter()
+                    .zip(&rk)
+                    .all(|(a, b)| a.total_cmp(b) == Ordering::Equal);
+            if joins {
+                pairs.push((lk.clone(), l.iter().chain(r).cloned().collect()));
+            }
+        }
+    }
+    pairs.sort_by(|(a, _), (b, _)| {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    pairs.into_iter().map(|(_, row)| row).collect()
+}
+
+/// An input that yields `rows` and then fails.
+fn failing(rows: &[Row]) -> Executor {
+    let err: RowResult = Err(StoreError::Eval("input failed".into()));
+    Box::new(rows_of(rows).chain(std::iter::once(err)))
 }
 
 proptest! {
     #[test]
     fn filter_matches_retain(rows in arb_rows(), threshold in -50i64..50) {
         let pred = Expr::bin(BinOp::Ge, Expr::col(1), Expr::lit(Value::Int(threshold)));
-        let got = collect_rows(Filter::new(
-            Box::new(SeqScan::from_rows(rows.clone())),
-            pred,
-        )).unwrap();
+        let got: Vec<Row> = Filter::new(rows_of(&rows), pred).collect::<Result<_, _>>().unwrap();
         let want: Vec<Row> = rows
             .into_iter()
             .filter(|r| r[1].as_int().unwrap() >= threshold)
@@ -34,62 +91,52 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
+    /// The hash join equals the reference row for row, in order: on one
+    /// key, and on a composite key with a `col + 1` component (the shape
+    /// of the adjacent-period join), over NULL, `Int` and `Double` keys
+    /// with duplicates on both sides.
     #[test]
-    fn sort_matches_std_sort(rows in arb_rows()) {
-        let got = collect_rows(Sort::new(
-            Box::new(SeqScan::from_rows(rows.clone())),
-            vec![(Expr::col(1), true), (Expr::col(0), false)],
-        )).unwrap();
-        let mut want = rows;
-        want.sort_by(|a, b| {
-            a[1].total_cmp(&b[1]).then(b[0].total_cmp(&a[0]))
-        });
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn sort_merge_join_equals_nested_loop(left in arb_rows(), right in arb_rows()) {
-        let smj = collect_rows(SortMergeJoin::new(
-            Box::new(SeqScan::from_rows(left.clone())),
-            Box::new(SeqScan::from_rows(right.clone())),
-            vec![Expr::col(0)],
-            vec![Expr::col(0)],
-        )).unwrap();
-        let cond = Expr::bin(BinOp::Eq, Expr::col(0), Expr::col(2));
-        let nlj = collect_rows(NestedLoopJoin::new(
-            Box::new(SeqScan::from_rows(left)),
-            Box::new(SeqScan::from_rows(right)),
-            cond,
-        )).unwrap();
-        prop_assert_eq!(norm(smj), norm(nlj));
-    }
-
-    /// Composite keys with an offset component — `(l.0, l.1 + d) =
-    /// (r.0, r.1)`, the shape of the adjacent-period join — against the
-    /// nested loop filtering on the same conjunction.
-    #[test]
-    fn composite_key_join_equals_nested_loop(
-        left in arb_rows(),
-        right in arb_rows(),
-        d in -3i64..4,
+    fn hash_join_equals_sorted_nested_loop(
+        left in arb_keyed_rows(),
+        right in arb_keyed_rows(),
     ) {
-        let plus_d = Expr::bin(BinOp::Add, Expr::col(1), Expr::lit(Value::Int(d)));
-        let smj = collect_rows(SortMergeJoin::new(
-            Box::new(SeqScan::from_rows(left.clone())),
-            Box::new(SeqScan::from_rows(right.clone())),
-            vec![Expr::col(0), plus_d.clone()],
-            vec![Expr::col(0), Expr::col(1)],
-        )).unwrap();
-        let cond = Expr::and_all(vec![
-            Expr::bin(BinOp::Eq, Expr::col(0), Expr::col(2)),
-            Expr::bin(BinOp::Eq, plus_d, Expr::col(3)),
-        ]);
-        let nlj = collect_rows(NestedLoopJoin::new(
-            Box::new(SeqScan::from_rows(left)),
-            Box::new(SeqScan::from_rows(right)),
-            cond,
-        )).unwrap();
-        prop_assert_eq!(norm(smj), norm(nlj));
+        let plus_one = Expr::bin(BinOp::Add, Expr::col(1), Expr::lit(Value::Int(1)));
+        let shapes = [
+            (vec![Expr::col(0)], vec![Expr::col(0)]),
+            (vec![Expr::col(0), plus_one], vec![Expr::col(0), Expr::col(1)]),
+        ];
+        for (lkeys, rkeys) in shapes {
+            let join = HashJoin::new(rows_of(&left), rows_of(&right), lkeys.clone(), rkeys.clone());
+            let got: Vec<Row> = join.collect::<Result<_, _>>().unwrap();
+            prop_assert_eq!(got, reference_join(&left, &right, &lkeys, &rkeys));
+        }
+    }
+
+    /// An error from either input, or from a key expression, comes out
+    /// as an `Err` item — never as a short but successful result.
+    #[test]
+    fn hash_join_surfaces_input_errors(
+        left in arb_keyed_rows(),
+        right in arb_keyed_rows(),
+    ) {
+        let keys = || vec![Expr::col(0)];
+        let has_err = |exec: HashJoin| exec.into_iter().any(|r| r.is_err());
+        // The left input is read only when the right one has a joinable
+        // (non-NULL) key.
+        let right_joins = right.iter().any(|r| !r[0].is_null());
+        prop_assert_eq!(
+            has_err(HashJoin::new(failing(&left), rows_of(&right), keys(), keys())),
+            right_joins
+        );
+        prop_assert!(has_err(HashJoin::new(rows_of(&left), failing(&right), keys(), keys())));
+        // Negating a string is a type error: every right row's key fails.
+        let bad = vec![Expr::Un(
+            relstore::expr::UnOp::Neg,
+            Box::new(Expr::lit(Value::Str("x".into()))),
+        )];
+        if !right.is_empty() {
+            prop_assert!(has_err(HashJoin::new(rows_of(&left), rows_of(&right), keys(), bad)));
+        }
     }
 
     #[test]
@@ -122,4 +169,15 @@ proptest! {
             prop_assert_eq!(via_index, via_scan);
         }
     }
+}
+
+/// An empty right input joins to nothing without reading the left input.
+#[test]
+fn hash_join_with_empty_right_never_pulls_left() {
+    let left: Executor = Box::new(std::iter::from_fn(|| -> Option<RowResult> {
+        panic!("left input pulled")
+    }));
+    let right: Executor = Box::new(std::iter::empty());
+    let join = HashJoin::new(left, right, vec![Expr::col(0)], vec![Expr::col(0)]);
+    assert!(join.collect::<Result<Vec<_>, _>>().unwrap().is_empty());
 }

@@ -79,8 +79,10 @@ fn checkpoint_and_reopen_heap_and_clustered() {
         // Clustered range scans still ordered.
         let lo = [Value::Int(100)];
         let hi = [Value::Int(110)];
-        let rows = c
-            .cluster_range(Bound::Included(&lo[..]), Bound::Excluded(&hi[..]))
+        let rows: Vec<Vec<Value>> = c
+            .cluster_range_stream(Bound::Included(&lo[..]), Bound::Excluded(&hi[..]))
+            .unwrap()
+            .collect::<relstore::Result<_>>()
             .unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0][0], Value::Int(100));

@@ -1,7 +1,6 @@
 //! Streaming-scan guarantees: early termination bounds physical I/O, and
 //! cursors see exactly what a materialized scan sees.
 
-use relstore::exec::SeqScan;
 use relstore::{DataType, Database, Field, Schema, StorageKind, Value};
 
 const ROWS: i64 = 10_000;
@@ -26,7 +25,7 @@ fn populated(kind: StorageKind) -> Database {
     db
 }
 
-/// `SeqScan` + `take(5)` must not pay full-table cost: the scan pulls
+/// A sequential scan + `take(5)` must not pay full-table cost: the scan pulls
 /// pages on demand, so five rows touch a handful of pages, not hundreds.
 #[test]
 fn seq_scan_with_early_take_does_bounded_io() {
@@ -41,7 +40,9 @@ fn seq_scan_with_early_take_does_bounded_io() {
 
         db.pool().flush_all().unwrap();
         db.pool().reset_stats();
-        let first5: Vec<_> = SeqScan::new(&t)
+        let first5: Vec<_> = t
+            .stream()
+            .unwrap()
             .take(5)
             .collect::<relstore::Result<Vec<_>>>()
             .unwrap();
@@ -56,7 +57,9 @@ fn seq_scan_with_early_take_does_bounded_io() {
         // bound above is meaningful.
         db.pool().flush_all().unwrap();
         db.pool().reset_stats();
-        let all: Vec<_> = SeqScan::new(&t)
+        let all: Vec<_> = t
+            .stream()
+            .unwrap()
             .collect::<relstore::Result<Vec<_>>>()
             .unwrap();
         assert_eq!(all.len(), ROWS as usize);

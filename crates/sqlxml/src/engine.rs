@@ -13,20 +13,24 @@
 //!    rows outside its own pages — ArchIS's BlockZIP-compressed archived
 //!    segments — reads them through its [`SideStorage`] under the same
 //!    merged bounds and predicates, after the planned base scan,
-//! 2. equality join conditions execute as sort-merge joins — "very fast
-//!    (in linear time) since every table is already sorted on its id
-//!    attribute" (§5.3). A condition is a join key when each side is one
+//! 2. equality join conditions execute as hash joins — the paper's "very
+//!    fast (in linear time) since every table is already sorted on its id
+//!    attribute" (§5.3): the right input is hashed once and the key-sorted
+//!    left input streams through it, emitting rows in the order a
+//!    sort-merge join would. A condition is a join key when each side is one
 //!    column, optionally plus or minus an integer literal (`t3.tstart =
 //!    t2.tend + 1`, the equality the translator emits beside every
 //!    `tmeets`). Each table in FROM order joins the tables before it on
 //!    *all* the key conditions that connect them, as one composite key —
-//!    Q6's adjacent-period join merges on `(id, t2.tend + 1) = (id,
+//!    Q6's adjacent-period join matches on `(id, t2.tend + 1) = (id,
 //!    t3.tstart)` instead of pairing every period of an id with every
 //!    other one and filtering,
 //! 3. the select list is compiled once per statement and evaluated per
-//!    row, or per group when `GROUP BY` or aggregates are present;
-//!    aggregates fold over the group in place ([`Accumulator`]), and
-//!    `XMLElement` / `XMLAgg` construct XML inside the engine.
+//!    row, or per group when `GROUP BY` or aggregates are present; each
+//!    group folds its rows as they arrive ([`Accumulator`]), so joined
+//!    rows are never collected, `GROUP BY` finds a row's group by its
+//!    hashed key ([`KeyIndex`]), and `XMLElement` / `XMLAgg` construct XML
+//!    inside the engine.
 //!
 //! Compilation binds every UDF call to its registry entry once, and a
 //! string literal passed to a UDF that is a date in `YYYY-MM-DD` form is
@@ -35,7 +39,7 @@
 
 use crate::parser::{parse_sql, SelectStmt, SqlExpr};
 use crate::{Result, SqlError};
-use relstore::exec::{Accumulator, Executor, Filter, NestedLoopJoin, Row, SeqScan, SortMergeJoin};
+use relstore::exec::{Accumulator, Executor, Filter, HashJoin, KeyIndex, Row};
 use relstore::expr::{AggFunc, BinOp, Expr, FnRegistry};
 use relstore::planner;
 use relstore::value::{DataType, Field, Value};
@@ -366,8 +370,9 @@ fn conjuncts(e: &SqlExpr, out: &mut Vec<SqlExpr>) {
 }
 
 /// Run FROM + WHERE, returning a streaming executor of joined rows over
-/// the scope's schema. Single-table plans stream all the way from the
-/// base scan; joins materialize inside the join operators as before.
+/// the scope's schema. Scans stream from the base storage with their
+/// predicates applied at the source; a join holds its right input in a
+/// hash table and its left input sorted by key.
 fn run_from_where(
     db: &Database,
     stmt: &SelectStmt,
@@ -421,7 +426,7 @@ fn run_from_where(
             continue;
         }
         // Every key condition connecting `alias` to the joined set becomes
-        // one component of a composite sort-merge key. The joined row is a
+        // one component of a composite hash-join key. The joined row is a
         // prefix of the scope (FROM order is scope order), so its side
         // compiles unshifted; the new table's side is shifted to its own
         // columns.
@@ -443,23 +448,14 @@ fn run_from_where(
             }
         }
         join_conds = unconnected;
+        // With no key yet (nothing connects) the join is a cross join; the
+        // conditions that relate these tables to later ones apply as those
+        // join in, and the rest as residual filters.
         let left_exec: Executor = joined.take().expect("first table seeds the join");
-        let out: Executor = if lkeys.is_empty() {
-            // Nothing connects yet: cross join; the conditions that relate
-            // these tables to later ones apply as those join in, and the
-            // rest as residual filters.
-            Box::new(NestedLoopJoin::new(
-                left_exec,
-                right_exec,
-                Expr::Lit(Value::Int(1)),
-            ))
-        } else {
-            Box::new(SortMergeJoin::new(left_exec, right_exec, lkeys, rkeys))
-        };
-        joined = Some(out);
+        joined = Some(Box::new(HashJoin::new(left_exec, right_exec, lkeys, rkeys)));
         joined_aliases.push(alias.clone());
     }
-    let mut result: Executor = joined.unwrap_or_else(|| Box::new(SeqScan::from_rows(Vec::new())));
+    let mut result: Executor = joined.unwrap_or_else(|| Box::new(std::iter::empty()));
 
     // Residual predicates (multi-table non-equi, or join conds that never
     // connected — e.g. a condition between tables 1 and 3 joined crosswise).
@@ -564,7 +560,7 @@ fn propagate_constants(
     Ok(())
 }
 
-/// Whether `e` can be a sort-merge join key: an equality whose sides are
+/// Whether `e` can be a hash-join key: an equality whose sides are
 /// each a [`key_column`] expression.
 fn is_join_key(e: &SqlExpr, scope: &Scope) -> bool {
     matches!(
@@ -700,38 +696,9 @@ fn scan_table(
         }
     }
 
-    let profile = planner::TableProfile::of(db, table);
-    let choice = planner::choose_path(&profile, &candidates);
-    let base: Executor = match choice.candidate {
-        None => relstore::exec::build_scan(
-            table,
-            planner::PathKind::Seq,
-            None,
-            Bound::Unbounded,
-            Bound::Unbounded,
-        )?,
-        Some(i) => {
-            let cand = &candidates[i];
-            let (lo, hi) = cand.key_range();
-            let parallel = match cand.kind {
-                planner::PathKind::Cluster => parallel_cluster_scan(table, &lo, &hi)?,
-                _ => None,
-            };
-            match parallel {
-                Some(rows) => Box::new(SeqScan::from_rows(rows)),
-                None => relstore::exec::build_scan(
-                    table,
-                    cand.kind,
-                    cand.index.as_deref(),
-                    as_slice(&lo),
-                    as_slice(&hi),
-                )?,
-            }
-        }
-    };
-    // Apply ALL pushed predicates (the access-path bound is a superset
-    // filter; re-checking is cheap and keeps correctness independent of
-    // planning).
+    // Every path applies ALL pushed predicates at the source (the
+    // access-path bound is a superset filter; re-checking is cheap and
+    // keeps correctness independent of planning).
     let pred = match preds {
         [] => None,
         _ => Some(Expr::and_all(
@@ -741,12 +708,40 @@ fn scan_table(
                 .collect::<Result<Vec<_>>>()?,
         )),
     };
-    let side_rows = side.scan(db, table.name(), &bounded, pred.as_ref());
-    let base: Executor = match pred {
-        Some(pred) => Box::new(Filter::new(base, pred)),
-        None => base,
+    let profile = planner::TableProfile::of(db, table);
+    let choice = planner::choose_path(&profile, &candidates);
+    let base: Executor = match choice.candidate {
+        None => relstore::exec::build_scan(
+            table,
+            planner::PathKind::Seq,
+            None,
+            Bound::Unbounded,
+            Bound::Unbounded,
+            pred.clone(),
+        )?,
+        Some(i) => {
+            let cand = &candidates[i];
+            let (lo, hi) = cand.key_range();
+            let parallel = match cand.kind {
+                planner::PathKind::Cluster => {
+                    parallel_cluster_scan(table, &lo, &hi, pred.as_ref())?
+                }
+                _ => None,
+            };
+            match parallel {
+                Some(rows) => Box::new(rows.into_iter().map(Ok)),
+                None => relstore::exec::build_scan(
+                    table,
+                    cand.kind,
+                    cand.index.as_deref(),
+                    as_slice(&lo),
+                    as_slice(&hi),
+                    pred.clone(),
+                )?,
+            }
+        }
     };
-    match side_rows {
+    match side.scan(db, table.name(), &bounded, pred.as_ref()) {
         None => Ok(base),
         Some(side_rows) => {
             let (rows, entry) = side_rows?;
@@ -763,12 +758,14 @@ fn scan_table(
 /// integers. Each segment occupies a contiguous cluster-key range, so
 /// scanning every segment in its own thread and concatenating the results
 /// in ascending segment order is byte-identical to the sequential primary
-/// range scan. Returns `None` (caller falls back to the sequential scan)
-/// unless both bounds are inclusive integers spanning 2..=64 segments.
+/// range scan. Each thread applies `pred` at the source, as the serial scan
+/// does. Returns `None` (caller falls back to the sequential scan) unless
+/// both bounds are inclusive integers spanning 2..=64 segments.
 fn parallel_cluster_scan(
     table: &Table,
     lo: &Bound<Vec<Value>>,
     hi: &Bound<Vec<Value>>,
+    pred: Option<&Expr>,
 ) -> Result<Option<Vec<Row>>> {
     let one_int = |b: &Bound<Vec<Value>>| -> Option<i64> {
         match b {
@@ -792,10 +789,12 @@ fn parallel_cluster_scan(
             .map(|&sn| {
                 s.spawn(move |_| {
                     let key = [Value::Int(sn)];
+                    let segment = Bound::Included(&key[..]);
                     // lint:allow(planner-routed: reached only from scan_table
                     // after choose_path picked the clustered range; this is
                     // the parallel executor for that chosen plan)
-                    table.cluster_range(Bound::Included(&key[..]), Bound::Included(&key[..]))
+                    let rows = table.cluster_range_stream(segment, segment)?;
+                    rows.filtered(pred.cloned()).collect()
                 })
             })
             .collect();
@@ -884,64 +883,58 @@ fn project(
         .map(|(e, asc)| Ok((Item::compile(e, scope, fns)?, *asc)))
         .collect::<Result<Vec<_>>>()?;
 
-    // LIMIT without grouping or ordering can stop pulling from the pipeline
-    // as soon as enough rows have arrived — with streaming scans underneath,
-    // this bounds physical I/O by the limit, not the table size.
-    let rows: Vec<Row> = if !grouped && stmt.order_by.is_empty() {
-        match stmt.limit {
-            Some(n) => input.take(n).collect::<relstore::Result<Vec<Row>>>()?,
-            None => input.collect::<relstore::Result<Vec<Row>>>()?,
-        }
-    } else {
-        input.collect::<relstore::Result<Vec<Row>>>()?
-    };
-
     // One output row per group: a single global group (kept even when
     // empty) without GROUP BY, one per distinct key with it; without
-    // aggregates every row is its own group.
-    let output = |group: &[Row]| -> Result<(Vec<SqlValue>, Vec<Value>)> {
-        let values = items
-            .iter()
-            .map(|i| i.eval(group))
-            .collect::<Result<Vec<_>>>()?;
-        let mut keys = Vec::with_capacity(order_items.len());
-        for (item, _) in &order_items {
-            match item.eval(group)? {
-                SqlValue::Rel(v) => keys.push(v),
-                SqlValue::Xml(_) => {
-                    return Err(SqlError::Xml("cannot ORDER BY an XML value".into()))
-                }
-            }
+    // aggregates every row is its own group. Groups fold their rows as
+    // they arrive, so the input is never collected.
+    let group = || Group::start(&items, &order_items);
+    let mut out: Vec<(Vec<SqlValue>, Vec<Value>)> = Vec::new();
+    if !grouped {
+        // LIMIT without ordering stops pulling from the pipeline as soon
+        // as enough rows have arrived — with streaming scans underneath,
+        // this bounds physical I/O by the limit, not the table size.
+        let limit = stmt.limit.filter(|_| stmt.order_by.is_empty());
+        for row in input.take(limit.unwrap_or(usize::MAX)) {
+            let mut g = group();
+            g.update(&row?)?;
+            out.push(g.finish()?);
         }
-        Ok((values, keys))
-    };
-    let mut out: Vec<(Vec<SqlValue>, Vec<Value>)> = if !grouped {
-        rows.iter()
-            .map(|row| output(std::slice::from_ref(row)))
-            .collect::<Result<_>>()?
     } else if stmt.group_by.is_empty() {
-        vec![output(&rows)?]
+        let mut g = group();
+        for row in input {
+            g.update(&row?)?;
+        }
+        out.push(g.finish()?);
     } else {
+        // Rows find their group by hashed key: values equal under
+        // `total_cmp` share a group, and so do NULL keys (SQL grouping,
+        // unlike the join, puts NULLs together).
         let keys = stmt
             .group_by
             .iter()
             .map(|g| compile(g, scope, 0, fns))
             .collect::<Result<Vec<_>>>()?;
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut groups: Vec<Vec<Row>> = Vec::new();
-        for row in rows {
-            let kv = keys
-                .iter()
-                .map(|k| k.eval(&row))
-                .collect::<relstore::Result<Vec<_>>>()?;
-            let gi = *index.entry(format!("{kv:?}")).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push(row);
+        let mut index = KeyIndex::new(keys.len());
+        let mut groups: Vec<Group> = Vec::new();
+        let mut key = Vec::with_capacity(keys.len());
+        for row in input {
+            let row = row?;
+            key.clear();
+            for k in &keys {
+                key.push(k.eval(&row)?);
+            }
+            let (at, new) = index.find_or_push(&key);
+            if new {
+                groups.push(group());
+            }
+            if let Some(g) = groups.get_mut(at) {
+                g.update(&row)?;
+            }
         }
-        groups.iter().map(|g| output(g)).collect::<Result<_>>()?
-    };
+        for g in groups {
+            out.push(g.finish()?);
+        }
+    }
 
     if !order_items.is_empty() {
         out.sort_by(|(_, a), (_, b)| {
@@ -1019,43 +1012,84 @@ impl Item {
         })
     }
 
-    /// Evaluate over one group of rows (one row when nothing aggregates).
-    fn eval(&self, group: &[Row]) -> Result<SqlValue> {
+    /// The empty fold of this item over a group.
+    fn fold(&self) -> Fold<'_> {
         match self {
-            Item::Scalar(e) => {
-                let row: &[Value] = group.first().map_or(&[], |r| r.as_slice());
-                Ok(SqlValue::Rel(e.eval(row)?))
-            }
+            Item::Scalar(e) => Fold::Scalar(e, None),
             Item::Agg {
                 func,
                 arg,
                 distinct,
-            } => {
-                let mut acc = Accumulator::new(*func, *distinct);
-                for row in group {
-                    acc.update(arg, row)?;
-                }
-                Ok(SqlValue::Rel(acc.finish()))
-            }
-            Item::XmlAgg(inner) => {
-                let mut nodes = Vec::new();
-                for row in group {
-                    match inner.eval(std::slice::from_ref(row))? {
-                        SqlValue::Xml(ns) => nodes.extend(ns),
-                        SqlValue::Rel(Value::Null) => {}
-                        SqlValue::Rel(v) => nodes.push(Node::Text(v.to_string())),
-                    }
-                }
-                Ok(SqlValue::Xml(nodes))
-            }
+            } => Fold::Agg(arg, Accumulator::new(*func, *distinct)),
+            Item::XmlAgg(inner) => Fold::XmlAgg(inner, Vec::new()),
             Item::XmlElement {
                 name,
                 attrs,
                 content,
-            } => {
-                let mut elem = Element::new(name.clone());
-                for (aname, aitem) in attrs {
-                    match aitem.eval(group)? {
+            } => Fold::XmlElement(
+                name,
+                attrs,
+                attrs
+                    .iter()
+                    .map(|(_, i)| i)
+                    .chain(content)
+                    .map(Item::fold)
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// An [`Item`] evaluated over a group whose rows arrive one at a time.
+enum Fold<'a> {
+    /// The scalar's value on the group's first row, once it has arrived.
+    Scalar(&'a Expr, Option<Value>),
+    Agg(&'a Expr, Accumulator),
+    /// The nodes of the rows so far.
+    XmlAgg(&'a Item, Vec<Node>),
+    /// The element's name and attributes, and the folds of its
+    /// attribute values, then of its content.
+    XmlElement(&'a str, &'a [(String, Item)], Vec<Fold<'a>>),
+}
+
+impl Fold<'_> {
+    fn update(&mut self, row: &[Value]) -> Result<()> {
+        match self {
+            Fold::Scalar(e, first @ None) => *first = Some(e.eval(row)?),
+            Fold::Scalar(_, Some(_)) => {}
+            Fold::Agg(arg, acc) => acc.update(arg, row)?,
+            Fold::XmlAgg(inner, nodes) => {
+                let mut one = inner.fold();
+                one.update(row)?;
+                match one.finish()? {
+                    SqlValue::Xml(ns) => nodes.extend(ns),
+                    SqlValue::Rel(Value::Null) => {}
+                    SqlValue::Rel(v) => nodes.push(Node::Text(v.to_string())),
+                }
+            }
+            Fold::XmlElement(_, _, parts) => {
+                for f in parts {
+                    f.update(row)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<SqlValue> {
+        match self {
+            // A scalar over an empty group sees an empty row.
+            Fold::Scalar(e, first) => Ok(SqlValue::Rel(match first {
+                Some(v) => v,
+                None => e.eval(&[])?,
+            })),
+            Fold::Agg(_, acc) => Ok(SqlValue::Rel(acc.finish())),
+            Fold::XmlAgg(_, nodes) => Ok(SqlValue::Xml(nodes)),
+            Fold::XmlElement(name, attrs, parts) => {
+                let mut elem = Element::new(name.to_string());
+                let mut parts = parts.into_iter();
+                for ((aname, _), f) in attrs.iter().zip(parts.by_ref()) {
+                    match f.finish()? {
                         SqlValue::Rel(Value::Null) => {} // NULL attrs omitted
                         SqlValue::Rel(v) => elem.set_attr(aname.clone(), v.to_string()),
                         SqlValue::Xml(_) => {
@@ -1063,8 +1097,8 @@ impl Item {
                         }
                     }
                 }
-                for c in content {
-                    match c.eval(group)? {
+                for f in parts {
+                    match f.finish()? {
                         SqlValue::Rel(Value::Null) => {}
                         SqlValue::Rel(v) => elem.children.push(Node::Text(v.to_string())),
                         SqlValue::Xml(ns) => elem.children.extend(ns),
@@ -1073,6 +1107,47 @@ impl Item {
                 Ok(SqlValue::Xml(vec![Node::Element(elem)]))
             }
         }
+    }
+}
+
+/// The select list and ORDER BY keys of one group, folding its rows.
+struct Group<'a> {
+    items: Vec<Fold<'a>>,
+    keys: Vec<Fold<'a>>,
+}
+
+impl<'a> Group<'a> {
+    fn start(items: &'a [Item], order: &'a [(Item, bool)]) -> Self {
+        Group {
+            items: items.iter().map(Item::fold).collect(),
+            keys: order.iter().map(|(i, _)| i.fold()).collect(),
+        }
+    }
+
+    fn update(&mut self, row: &[Value]) -> Result<()> {
+        for f in self.items.iter_mut().chain(&mut self.keys) {
+            f.update(row)?;
+        }
+        Ok(())
+    }
+
+    /// The group's output values and its ORDER BY key.
+    fn finish(self) -> Result<(Vec<SqlValue>, Vec<Value>)> {
+        let values = self
+            .items
+            .into_iter()
+            .map(Fold::finish)
+            .collect::<Result<Vec<_>>>()?;
+        let mut keys = Vec::with_capacity(self.keys.len());
+        for f in self.keys {
+            match f.finish()? {
+                SqlValue::Rel(v) => keys.push(v),
+                SqlValue::Xml(_) => {
+                    return Err(SqlError::Xml("cannot ORDER BY an XML value".into()))
+                }
+            }
+        }
+        Ok((values, keys))
     }
 }
 
@@ -1242,7 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_merge_join_on_ids() {
+    fn hash_join_on_ids() {
         let db = setup();
         let out = execute(
             &db,
@@ -1369,7 +1444,8 @@ mod tests {
     }
 
     /// The per-segment thread fan-out is invisible: it returns what one
-    /// serial `cluster_range` over the whole segment bound returns.
+    /// serial clustered range scan over the whole segment bound returns,
+    /// with and without a pushed predicate.
     #[test]
     fn parallel_cluster_scan_equals_one_serial_range() {
         let db = Database::in_memory();
@@ -1397,20 +1473,57 @@ mod tests {
             }
         }
         let (lo, hi) = (vec![Value::Int(1)], vec![Value::Int(4)]);
-        let fanned = parallel_cluster_scan(
-            &t,
-            &Bound::Included(lo.clone()),
-            &Bound::Included(hi.clone()),
-        )
-        .unwrap()
-        .expect("four segments fan out");
-        let serial = t
-            .cluster_range(Bound::Included(&lo[..]), Bound::Included(&hi[..]))
-            .unwrap();
-        assert_eq!(fanned.len(), 4 * 40);
-        assert_eq!(fanned, serial);
+        let odd = Expr::bin(
+            BinOp::Gt,
+            Expr::col(2),
+            Expr::bin(BinOp::Mul, Expr::col(0), Expr::lit(Value::Int(1_000))),
+        );
+        for (pred, n) in [(None, 4 * 40), (Some(odd), 4 * 39)] {
+            let (lo, hi) = (Bound::Included(lo.clone()), Bound::Included(hi.clone()));
+            let fanned = parallel_cluster_scan(&t, &lo, &hi, pred.as_ref())
+                .unwrap()
+                .expect("four segments fan out");
+            let serial: Vec<Row> = t
+                .cluster_range_stream(as_slice(&lo), as_slice(&hi))
+                .unwrap()
+                .filtered(pred)
+                .collect::<relstore::Result<_>>()
+                .unwrap();
+            assert_eq!(fanned.len(), n);
+            assert_eq!(fanned, serial);
+        }
         // One segment (or a non-integer bound) is left to the serial scan.
         let one = Bound::Included(lo);
-        assert!(parallel_cluster_scan(&t, &one, &one).unwrap().is_none());
+        assert!(parallel_cluster_scan(&t, &one, &one, None)
+            .unwrap()
+            .is_none());
+    }
+
+    /// GROUP BY puts keys equal under `total_cmp` into one group — an
+    /// `Int` and the equal `Double` included — and all NULL keys into one
+    /// group, in first-seen order (the cross join pairs each title with
+    /// both names).
+    #[test]
+    fn group_by_hashes_equal_values_and_nulls_together() {
+        let mut reg = FnRegistry::new();
+        reg.register("k", |args| {
+            Ok(match args[0].as_str() {
+                Some("Engineer") => Value::Int(7),
+                Some("Sr Engineer") => Value::Double(7.0),
+                _ => Value::Null,
+            })
+        });
+        let out = execute(
+            &setup(),
+            "select k(t.title), count(*) from employee_title t, employee_name n \
+             group by k(t.title)",
+            &Arc::new(reg),
+        )
+        .unwrap();
+        let (int, null) = (Value::Int, Value::Null);
+        assert_eq!(
+            out.scalar_rows().unwrap(),
+            vec![vec![int(7), int(4)], vec![null, int(2)]]
+        );
     }
 }

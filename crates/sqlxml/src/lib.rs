@@ -6,9 +6,10 @@
 //! binding and structure construction *inside* the relational engine is the
 //! high-performance approach the paper adopts (after reference 34 in its
 //! references), so this crate implements exactly that: a SQL parser, a
-//! small planner (predicate pushdown, cost-based access paths, sort-merge
-//! joins on composite equality keys), and an executor whose select list
-//! can construct XML values and aggregate them per group.
+//! small planner (predicate pushdown into the scans, cost-based access
+//! paths, hash joins on composite equality keys), and an executor whose
+//! select list can construct XML values and aggregate them per group as
+//! rows arrive.
 //!
 //! Scalar UDFs (the paper's temporal built-ins: `toverlaps`, `tcontains`,
 //! ...) are resolved through a [`relstore::expr::FnRegistry`] supplied by
