@@ -54,7 +54,7 @@ pub use heap::{HeapFile, RecordId};
 pub use page::{PageId, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, PageFileLayout, Pager, SnapshotPager, PAGE_FORMAT_VERSION};
 pub use planner::{ForcedPath, PlanEntry, SegStat, TableProfile};
-pub use table::{IndexDef, Table, TableCheck};
+pub use table::{IndexDef, RowStream, Table, TableCheck};
 pub use value::{
     decode_row, decode_row_into, encode_key, encode_row, DataType, Field, Schema, Value,
 };

@@ -14,7 +14,7 @@
 use crate::btree::{BTree, RangeIter};
 use crate::buffer::BufferPool;
 use crate::catalog::StorageKind;
-use crate::exec::{keep, Row};
+use crate::exec::{Cursor, Row};
 use crate::expr::Expr;
 use crate::heap::{HeapCursor, HeapFile, HeapReader, HeapTail, RecordId};
 use crate::value::{decode_row, decode_row_into, encode_key, encode_row, Schema, Value};
@@ -949,8 +949,9 @@ impl Table {
 /// [`Table::cluster_range_stream`] and [`Table::index_range_stream`]).
 /// Owns its storage handles. Each row is decoded into one reused buffer —
 /// straight from the stream's copy of its page, or, fetched through an
-/// index, under its page's latch; with a predicate
-/// ([`RowStream::filtered`]) a row is copied out only when it passes.
+/// index, under its page's latch. With a predicate
+/// ([`RowStream::filtered`]) only the rows that pass are lent (as a
+/// [`Cursor`]) or copied out (as an [`Iterator`]).
 pub struct RowStream {
     inner: RowStreamInner,
     pred: Option<Expr>,
@@ -1007,37 +1008,52 @@ impl RowFetcher {
     }
 }
 
-impl Iterator for RowStream {
-    type Item = Result<Vec<Value>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+/// Each row the predicate keeps is lent in the decode buffer itself: a
+/// pipeline reading the stream as a cursor copies nothing.
+impl Cursor for RowStream {
+    fn advance(&mut self) -> Result<bool> {
         let RowStream { inner, pred, buf } = self;
         loop {
             let decoded = match inner {
-                RowStreamInner::Heap(c) => c
-                    .next_record()?
-                    .and_then(|(_, bytes)| decode_row_into(bytes, buf).map(|()| true)),
+                RowStreamInner::Heap(c) => match c.next_record() {
+                    Some(record) => {
+                        record.and_then(|(_, bytes)| decode_row_into(bytes, buf).map(|()| true))
+                    }
+                    None => return Ok(false),
+                },
                 // A corrupt leaf (of the table or of the index) ends the
                 // walk early; surface it rather than passing off a
                 // truncated scan as complete.
                 RowStreamInner::Clustered(it) => match it.next_entry() {
                     Some((_, bytes)) => decode_row_into(bytes, buf).map(|()| true),
-                    None => return it.take_error().map(Err),
+                    None => return it.take_error().map_or(Ok(false), Err),
                 },
                 RowStreamInner::Index(entries, fetch) => match entries.next_entry() {
                     Some((_, handle)) => fetch.fetch_into(handle, buf),
-                    None => return entries.take_error().map(Err),
+                    None => return entries.take_error().map_or(Ok(false), Err),
                 },
             };
-            match decoded {
-                Ok(true) => {
-                    if let Some(row) = keep(pred.as_ref(), buf) {
-                        return Some(row);
-                    }
-                }
-                Ok(false) => {}
-                Err(e) => return Some(Err(e)),
+            if decoded? && pred.as_ref().map_or(Ok(true), |p| p.eval_bool(buf))? {
+                return Ok(true);
             }
+        }
+    }
+
+    fn row(&self) -> &[Value] {
+        &self.buf
+    }
+}
+
+/// Owned rows: each kept row copied out of the decode buffer. An error
+/// comes out in the failing row's place and the scan goes on after it.
+impl Iterator for RowStream {
+    type Item = Result<Vec<Value>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.advance() {
+            Ok(true) => Some(Ok(self.buf.clone())),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }
