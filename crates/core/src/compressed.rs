@@ -16,14 +16,14 @@
 //! the same merged `(segno, id)` bounds select — a `segno` bound picks
 //! segments through the segrange map, an `id` bound becomes a binary
 //! search over each picked segment's block metadata, and no bound reads
-//! every block. Selected blocks stream their rows without copying the
-//! ones the bounds or the pushed-down predicate reject.
+//! every block. Selected blocks lend their rows in place: the pushed-down
+//! predicate runs on the shared decoded block and no row is copied.
 
 use crate::archive::Archiver;
 use crate::htable::{self, LIVE_SEGNO};
 use crate::spec::RelationSpec;
 use crate::{ArchError, Result};
-use relstore::exec::Executor;
+use relstore::exec::{Cursor, Pipeline};
 use relstore::expr::Expr;
 use relstore::planner::{self, ColumnBound, PlanEntry};
 use relstore::value::{DataType, Field, Schema, Value};
@@ -273,30 +273,37 @@ fn window(rows: &[Vec<Value>], from: Sid, to: Sid) -> Range<usize> {
     start..end.max(start)
 }
 
-/// The rows of fetched blocks, streamed: only rows inside a sid window are
-/// visited, and one is cloned out only when it passes the pushed-down
-/// predicate, evaluated on the block's own copy ([`relstore::exec::keep`],
-/// the filter every table scan applies too).
+/// The rows of fetched blocks, lent in place: only rows inside a sid
+/// window are visited, and the pushed-down predicate is evaluated on the
+/// shared decoded block itself, so no row is copied.
 struct BlockStream {
     windows: Vec<Window>,
+    /// The window being read, and its current row's position in the block.
     at: usize,
+    current: usize,
     pred: Option<Expr>,
 }
 
-impl Iterator for BlockStream {
-    type Item = relstore::Result<Vec<Value>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl Cursor for BlockStream {
+    fn advance(&mut self) -> relstore::Result<bool> {
         while let Some((rows, range)) = self.windows.get_mut(self.at) {
-            let Some(row) = range.next().and_then(|i| rows.get(i)) else {
+            let Some((i, row)) = range.next().and_then(|i| Some((i, rows.get(i)?))) else {
                 self.at += 1;
                 continue;
             };
-            if let Some(row) = relstore::exec::keep(self.pred.as_ref(), row) {
-                return Some(row);
+            if self.pred.as_ref().map_or(Ok(true), |p| p.eval_bool(row))? {
+                self.current = i;
+                return Ok(true);
             }
         }
-        None
+        Ok(false)
+    }
+
+    fn row(&self) -> &[Value] {
+        self.windows
+            .get(self.at)
+            .and_then(|(rows, _)| rows.get(self.current))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -309,7 +316,7 @@ impl SideStorage for CompressedStore {
         table: &str,
         bounds: &[ColumnBound],
         pred: Option<&Expr>,
-    ) -> Option<sqlxml::Result<(Executor, PlanEntry)>> {
+    ) -> Option<sqlxml::Result<(Pipeline, PlanEntry)>> {
         let ab = self.attrs.values().find(|ab| ab.table == table)?;
         Some(
             self.block_scan(db, ab, bounds, pred)
@@ -871,7 +878,7 @@ impl CompressedStore {
         ab: &AttrBlocks,
         bounds: &[ColumnBound],
         pred: Option<&Expr>,
-    ) -> Result<(Executor, PlanEntry)> {
+    ) -> Result<(Pipeline, PlanEntry)> {
         let bound = |column: &str| bounds.iter().find(|b| b.column == column);
         let sids = SidBounds {
             segno: int_range(bound("segno")),
@@ -891,6 +898,7 @@ impl CompressedStore {
         let stream = BlockStream {
             windows,
             at: 0,
+            current: 0,
             pred: pred.cloned(),
         };
         Ok((Box::new(stream), entry))
@@ -1046,11 +1054,14 @@ mod tests {
     ) -> (Vec<Vec<Value>>, u64, f64) {
         let store = a.compressed_store("employee").unwrap();
         let (h0, m0) = store.cache_stats();
-        let (rows, entry) = store
+        let (mut cursor, entry) = store
             .scan(a.database(), "employee_salary", bounds, pred)
             .expect("the salary table is compressed")
             .unwrap();
-        let rows = rows.collect::<relstore::Result<Vec<_>>>().unwrap();
+        let mut rows = Vec::new();
+        while cursor.advance().unwrap() {
+            rows.push(cursor.row().to_vec());
+        }
         let (h1, m1) = store.cache_stats();
         (rows, h1 + m1 - h0 - m0, entry.est_pages)
     }

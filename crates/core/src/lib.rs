@@ -885,7 +885,7 @@ impl sqlxml::engine::SideStorage for ArchIS {
         table: &str,
         bounds: &[relstore::planner::ColumnBound],
         pred: Option<&relstore::expr::Expr>,
-    ) -> Option<sqlxml::Result<(relstore::exec::Executor, relstore::planner::PlanEntry)>> {
+    ) -> Option<sqlxml::Result<(relstore::exec::Pipeline, relstore::planner::PlanEntry)>> {
         let relation = self.compressed_tables.get(table)?;
         self.compressed.get(relation)?.scan(db, table, bounds, pred)
     }

@@ -6,10 +6,10 @@
 //! a scan's decode buffer through the pushed predicate, a join's probe, the
 //! join's one reused output buffer and the residual [`Filter`] into the
 //! select list's folds without ever being copied into a row of its own.
-//! Scans filter at the source: a table scan decodes each record into a
-//! reused buffer and evaluates its pushed-down predicate there. Rows that
-//! arrive owned — compressed blocks, a fanned-out segment scan — enter
-//! through [`Owned`].
+//! Every source is a cursor and filters at the source: a table scan
+//! decodes each record into a reused buffer and evaluates its pushed-down
+//! predicate there, and side storage (ArchIS's compressed blocks) lends
+//! the passing rows of its shared decoded blocks in place.
 //!
 //! The paper observes that the translated H-table queries "execute very
 //! fast (in linear time)" because every join is on `id`; here that is
@@ -34,13 +34,6 @@ use std::ops::Bound;
 /// A materialized row.
 pub type Row = Vec<Value>;
 
-/// The item type of an owned-row stream: rows or a propagated error.
-pub type RowResult = Result<Row>;
-
-/// A stream of owned rows, as side storage yields them; [`Owned`] lends
-/// its rows to a pipeline.
-pub type Executor = Box<dyn Iterator<Item = RowResult>>;
-
 /// A pipeline stage that lends its rows: [`Cursor::advance`] moves to the
 /// next row and [`Cursor::row`] borrows it until the next `advance`.
 pub trait Cursor {
@@ -55,50 +48,6 @@ pub trait Cursor {
 
 /// Object-safe alias for a boxed pipeline stage.
 pub type Pipeline = Box<dyn Cursor>;
-
-/// The source filter of a stream of owned rows: `row` copied out when
-/// `pred` accepts it (or there is no predicate), `None` when it rejects it
-/// (NULL counts as false), the error when evaluation fails — never a
-/// silently dropped row.
-pub fn keep(pred: Option<&Expr>, row: &[Value]) -> Option<RowResult> {
-    match pred.map_or(Ok(true), |p| p.eval_bool(row)) {
-        Ok(true) => Some(Ok(row.to_vec())),
-        Ok(false) => None,
-        Err(e) => Some(Err(e)),
-    }
-}
-
-/// A cursor over a stream of owned rows: each row is moved in and lent.
-pub struct Owned {
-    rows: Executor,
-    row: Row,
-}
-
-impl Owned {
-    /// Lend the rows of `rows`.
-    pub fn new(rows: Executor) -> Self {
-        Owned {
-            rows,
-            row: Vec::new(),
-        }
-    }
-}
-
-impl Cursor for Owned {
-    fn advance(&mut self) -> Result<bool> {
-        match self.rows.next() {
-            None => Ok(false),
-            Some(row) => {
-                self.row = row?;
-                Ok(true)
-            }
-        }
-    }
-
-    fn row(&self) -> &[Value] {
-        &self.row
-    }
-}
 
 /// The rows of one cursor, then those of another: a table's own storage
 /// followed by its side storage.
@@ -741,6 +690,25 @@ mod tests {
     use crate::planner::PathKind;
     use crate::value::{DataType, Field, Schema};
 
+    /// A cursor over owned rows, lending each in turn.
+    struct Rows(std::vec::IntoIter<Row>, Row);
+
+    impl Cursor for Rows {
+        fn advance(&mut self) -> Result<bool> {
+            match self.0.next() {
+                Some(row) => {
+                    self.1 = row;
+                    Ok(true)
+                }
+                None => Ok(false),
+            }
+        }
+
+        fn row(&self) -> &[Value] {
+            &self.1
+        }
+    }
+
     /// Without key components the join is the cross product: left-major
     /// in key order, right-major (the streamed input's order) in probe
     /// order, always as `left ++ right`.
@@ -748,7 +716,7 @@ mod tests {
     fn hash_join_without_keys_is_the_cross_product() {
         let ints = |v: &[i64]| -> Pipeline {
             let rows: Vec<Row> = v.iter().map(|&i| vec![Value::Int(i)]).collect();
-            Box::new(Owned::new(Box::new(rows.into_iter().map(Ok))))
+            Box::new(Rows(rows.into_iter(), Vec::new()))
         };
         let pairs = |order| -> Vec<(i64, i64)> {
             let mut join = HashJoin::new(ints(&[1, 5]), ints(&[3, 7]), vec![], vec![], order);
@@ -950,7 +918,7 @@ mod tests {
                 _ => &[10, 12, 13, 14],
             };
             assert_eq!(ids.get(..want.len()), Some(want), "{kind:?}");
-            let out: Vec<RowResult> = scan(kind, index, failing.clone()).collect();
+            let out: Vec<Result<Row>> = scan(kind, index, failing.clone()).collect();
             let first_err = out.iter().position(Result::is_err);
             assert_eq!(first_err, Some(if kind == PathKind::Seq { 12 } else { 2 }));
         }

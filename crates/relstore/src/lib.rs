@@ -45,7 +45,7 @@ pub mod wal;
 pub use btree::BTree;
 pub use buffer::{BufferPool, IoStats};
 pub use catalog::{Database, Snapshot, StorageKind};
-pub use exec::{Executor, Filter, HashJoin, Row};
+pub use exec::{Filter, HashJoin, Row};
 pub use expr::{AggFunc, BinOp, Expr, ScalarFn, UnOp};
 pub use failpoint::{
     flip_bit_at, BitRot, FailChannel, FailLog, FailPager, Failpoints, FlippedBit, ShipmentFate,

@@ -804,26 +804,13 @@ impl Table {
     pub fn verify(&self) -> TableCheck {
         let mut check = TableCheck::default();
         // Base storage: can every row still be read and decoded?
-        let mut actual = 0u64;
-        let mut base_ok = true;
-        match self.stream() {
-            Ok(stream) => {
-                for r in stream {
-                    match r {
-                        Ok(_) => actual += 1,
-                        Err(e) => {
-                            check.base_errors.push(e.to_string());
-                            base_ok = false;
-                            break;
-                        }
-                    }
-                }
-            }
+        let (actual, base_ok) = match self.stream().and_then(count_rows) {
+            Ok(n) => (n, true),
             Err(e) => {
                 check.base_errors.push(e.to_string());
-                base_ok = false;
+                (0, false)
             }
-        }
+        };
         if base_ok {
             let cached = self.rows.load(Ordering::Relaxed);
             if cached != actual {
@@ -908,11 +895,7 @@ impl Table {
     /// counter; returns `(cached, actual)`. The repair path for a
     /// diverged row counter.
     pub fn recount_rows(&self) -> Result<(u64, u64)> {
-        let mut actual = 0u64;
-        for r in self.stream()? {
-            r?;
-            actual += 1;
-        }
+        let actual = count_rows(self.stream()?)?;
         let cached = self.rows.swap(actual, Ordering::Relaxed);
         Ok((cached, actual))
     }
@@ -1056,6 +1039,16 @@ impl Iterator for RowStream {
             Err(e) => Some(Err(e)),
         }
     }
+}
+
+/// The rows of `stream`, counted as they are lent (none is copied out); the
+/// first error ends the count.
+fn count_rows(mut stream: RowStream) -> Result<u64> {
+    let mut n = 0;
+    while stream.advance()? {
+        n += 1;
+    }
+    Ok(n)
 }
 
 fn select(row: &[Value], cols: &[usize]) -> Vec<Value> {

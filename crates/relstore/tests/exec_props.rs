@@ -2,9 +2,7 @@
 //! reference implementations.
 
 use proptest::prelude::*;
-use relstore::exec::{
-    Accumulator, Cursor, Executor, Filter, HashJoin, JoinOrder, Owned, Pipeline, Row, RowResult,
-};
+use relstore::exec::{Accumulator, Cursor, Filter, HashJoin, JoinOrder, Pipeline, Row};
 use relstore::expr::{BinOp, Expr};
 use relstore::AggFunc;
 use relstore::{StoreError, Value};
@@ -71,13 +69,41 @@ fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-fn owned_rows(rows: &[Row]) -> Executor {
-    let owned: Vec<Row> = rows.to_vec();
-    Box::new(owned.into_iter().map(Ok))
+/// An input that lends `rows` in turn and then ends, or fails if `fail`.
+struct Rows {
+    rows: Vec<Row>,
+    /// How many rows have been lent.
+    lent: usize,
+    fail: bool,
+}
+
+impl Cursor for Rows {
+    fn advance(&mut self) -> Result<bool, StoreError> {
+        if self.lent < self.rows.len() {
+            self.lent += 1;
+            Ok(true)
+        } else if self.fail {
+            Err(StoreError::Eval("input failed".into()))
+        } else {
+            Ok(false)
+        }
+    }
+
+    fn row(&self) -> &[Value] {
+        &self.rows[self.lent - 1]
+    }
+}
+
+fn input(rows: &[Row], fail: bool) -> Pipeline {
+    Box::new(Rows {
+        rows: rows.to_vec(),
+        lent: 0,
+        fail,
+    })
 }
 
 fn rows_of(rows: &[Row]) -> Pipeline {
-    Box::new(Owned::new(owned_rows(rows)))
+    input(rows, false)
 }
 
 /// The reference join: a nested loop over left then right input order,
@@ -124,10 +150,20 @@ fn collect(rows: &mut dyn Cursor) -> Result<Vec<Row>, StoreError> {
 
 /// An input that yields `rows` and then fails.
 fn failing(rows: &[Row]) -> Pipeline {
-    let err: RowResult = Err(StoreError::Eval("input failed".into()));
-    Box::new(Owned::new(Box::new(
-        owned_rows(rows).chain(std::iter::once(err)),
-    )))
+    input(rows, true)
+}
+
+/// An input that must never be read: reading it panics.
+struct Unread;
+
+impl Cursor for Unread {
+    fn advance(&mut self) -> Result<bool, StoreError> {
+        panic!("left input pulled")
+    }
+
+    fn row(&self) -> &[Value] {
+        unreachable!("never advanced")
+    }
 }
 
 proptest! {
@@ -314,11 +350,14 @@ proptest! {
 #[test]
 fn hash_join_with_empty_right_never_pulls_left() {
     for order in [JoinOrder::Key, JoinOrder::Probe] {
-        let left: Pipeline = Box::new(Owned::new(Box::new(std::iter::from_fn(
-            || -> Option<RowResult> { panic!("left input pulled") },
-        ))));
         let right = rows_of(&[]);
-        let mut join = HashJoin::new(left, right, vec![Expr::col(0)], vec![Expr::col(0)], order);
+        let mut join = HashJoin::new(
+            Box::new(Unread),
+            right,
+            vec![Expr::col(0)],
+            vec![Expr::col(0)],
+            order,
+        );
         assert!(collect(&mut join).unwrap().is_empty());
     }
 }

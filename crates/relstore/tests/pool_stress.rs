@@ -1,7 +1,8 @@
 //! Concurrency and eviction-safety tests for the sharded CLOCK buffer pool.
 //!
 //! The pool is the one structure every layer above hammers from multiple
-//! threads once segment scans fan out, so it gets a dedicated stress test
+//! threads (concurrent readers, snapshot queries beside a writer, the
+//! compressed block decode fan-out), so it gets a dedicated stress test
 //! (lost-update detection under eviction pressure) and a property test
 //! (CLOCK must never evict a frame a caller still holds).
 

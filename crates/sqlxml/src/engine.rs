@@ -47,9 +47,7 @@
 
 use crate::parser::{parse_sql, SelectStmt, SqlExpr};
 use crate::{Result, SqlError};
-use relstore::exec::{
-    Accumulator, Chain, Executor, Filter, HashJoin, JoinOrder, KeyIndex, Owned, Pipeline, Row,
-};
+use relstore::exec::{Accumulator, Chain, Filter, HashJoin, JoinOrder, KeyIndex, Pipeline};
 use relstore::expr::{AggFunc, BinOp, Expr, FnRegistry};
 use relstore::planner;
 use relstore::value::{DataType, Field, Value};
@@ -149,15 +147,16 @@ pub trait SideStorage {
     /// a pinned snapshot of it), or `None` when `table` has no side
     /// storage. `bounds` are the merged key-column bounds of the pushed-down
     /// predicates, `pred` those predicates compiled over the table's own
-    /// row (`None` when there are none). Every row returned must pass
-    /// `pred`; the [`planner::PlanEntry`] is appended to the EXPLAIN log.
+    /// row (`None` when there are none). Every row the cursor lends must
+    /// pass `pred`; the [`planner::PlanEntry`] is appended to the EXPLAIN
+    /// log.
     fn scan(
         &self,
         db: &Database,
         table: &str,
         bounds: &[planner::ColumnBound],
         pred: Option<&Expr>,
-    ) -> Option<Result<(Executor, planner::PlanEntry)>>;
+    ) -> Option<Result<(Pipeline, planner::PlanEntry)>>;
 }
 
 /// No side storage: every table is exactly its own pages.
@@ -168,7 +167,7 @@ impl SideStorage for () {
         _table: &str,
         _bounds: &[planner::ColumnBound],
         _pred: Option<&Expr>,
-    ) -> Option<Result<(Executor, planner::PlanEntry)>> {
+    ) -> Option<Result<(Pipeline, planner::PlanEntry)>> {
         None
     }
 }
@@ -515,8 +514,7 @@ fn run_from_where(
         joined_aliases.push(alias.clone());
         joined_name = format!("{joined_name}⋈{tname}");
     }
-    let mut result: Pipeline =
-        joined.unwrap_or_else(|| Box::new(Owned::new(Box::new(std::iter::empty()))));
+    let mut result = joined.ok_or_else(|| SqlError::Exec("a select needs a FROM table".into()))?;
 
     // Residual predicates (multi-table non-equi, or join conds that never
     // connected — e.g. a condition between tables 1 and 3 joined crosswise).
@@ -771,105 +769,30 @@ fn scan_table(
     };
     let profile = planner::TableProfile::of(db, table);
     let choice = planner::choose_path(&profile, &candidates);
-    let base: Pipeline = match choice.candidate {
-        None => Box::new(relstore::exec::build_scan(
-            table,
+    let (kind, index, (lo, hi)) = match choice.candidate.and_then(|i| candidates.get(i)) {
+        Some(cand) => (cand.kind, cand.index.as_deref(), cand.key_range()),
+        None => (
             planner::PathKind::Seq,
             None,
-            Bound::Unbounded,
-            Bound::Unbounded,
-            pred.clone(),
-        )?),
-        Some(i) => {
-            let cand = &candidates[i];
-            let (lo, hi) = cand.key_range();
-            let parallel = match cand.kind {
-                planner::PathKind::Cluster => {
-                    parallel_cluster_scan(table, &lo, &hi, pred.as_ref())?
-                }
-                _ => None,
-            };
-            match parallel {
-                Some(rows) => Box::new(Owned::new(Box::new(rows.into_iter().map(Ok)))),
-                None => Box::new(relstore::exec::build_scan(
-                    table,
-                    cand.kind,
-                    cand.index.as_deref(),
-                    as_slice(&lo),
-                    as_slice(&hi),
-                    pred.clone(),
-                )?),
-            }
-        }
+            (Bound::Unbounded, Bound::Unbounded),
+        ),
     };
+    let base: Pipeline = Box::new(relstore::exec::build_scan(
+        table,
+        kind,
+        index,
+        as_slice(&lo),
+        as_slice(&hi),
+        pred.clone(),
+    )?);
     match side.scan(db, table.name(), &bounded, pred.as_ref()) {
         None => Ok(base),
         Some(side_rows) => {
             let (rows, entry) = side_rows?;
             planner::record_plan(entry);
-            Ok(Box::new(Chain::new(base, Box::new(Owned::new(rows)))))
+            Ok(Box::new(Chain::new(base, rows)))
         }
     }
-}
-
-/// Fan a multi-segment cluster-range scan across threads.
-///
-/// The translator's segment restriction (`segno >= lo and segno <= hi`,
-/// paper §6.3) bounds the leading cluster column to a small set of
-/// integers. Each segment occupies a contiguous cluster-key range, so
-/// scanning every segment in its own thread and concatenating the results
-/// in ascending segment order is byte-identical to the sequential primary
-/// range scan. Each thread applies `pred` at the source, as the serial scan
-/// does. Returns `None` (caller falls back to the sequential scan) unless
-/// both bounds are inclusive integers spanning 2..=64 segments.
-fn parallel_cluster_scan(
-    table: &Table,
-    lo: &Bound<Vec<Value>>,
-    hi: &Bound<Vec<Value>>,
-    pred: Option<&Expr>,
-) -> Result<Option<Vec<Row>>> {
-    let one_int = |b: &Bound<Vec<Value>>| -> Option<i64> {
-        match b {
-            Bound::Included(v) => match v.as_slice() {
-                [Value::Int(i)] => Some(*i),
-                _ => None,
-            },
-            _ => None,
-        }
-    };
-    let (Some(a), Some(b)) = (one_int(lo), one_int(hi)) else {
-        return Ok(None);
-    };
-    if !(a < b && b - a < 64) {
-        return Ok(None); // single segment or implausibly wide range
-    }
-    let segnos: Vec<i64> = (a..=b).collect();
-    let results: Vec<relstore::Result<Vec<Row>>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = segnos
-            .iter()
-            .map(|&sn| {
-                s.spawn(move |_| {
-                    let key = [Value::Int(sn)];
-                    let segment = Bound::Included(&key[..]);
-                    // lint:allow(planner-routed: reached only from scan_table
-                    // after choose_path picked the clustered range; this is
-                    // the parallel executor for that chosen plan)
-                    let rows = table.cluster_range_stream(segment, segment)?;
-                    rows.filtered(pred.cloned()).collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("segment scan thread panicked"))
-            .collect()
-    })
-    .expect("scoped segment scan threads");
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(Some(out))
 }
 
 fn flip(op: BinOp) -> BinOp {
@@ -1504,62 +1427,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.xml_fragments().join(""), "<all/>");
-    }
-
-    /// The per-segment thread fan-out is invisible: it returns what one
-    /// serial clustered range scan over the whole segment bound returns,
-    /// with and without a pushed predicate.
-    #[test]
-    fn parallel_cluster_scan_equals_one_serial_range() {
-        let db = Database::in_memory();
-        let t = db
-            .create_table(
-                "employee_salary",
-                Schema::new(vec![
-                    Field::new("segno", DataType::Int),
-                    Field::new("id", DataType::Int),
-                    Field::new("salary", DataType::Int),
-                ]),
-                StorageKind::Clustered,
-                &["segno", "id"],
-            )
-            .unwrap();
-        // Inserted out of key order, segments 0..=5, 40 ids each.
-        for id in (0..40i64).rev() {
-            for segno in [3i64, 0, 5, 1, 4, 2] {
-                t.insert(vec![
-                    Value::Int(segno),
-                    Value::Int(id),
-                    Value::Int(segno * 1_000 + id),
-                ])
-                .unwrap();
-            }
-        }
-        let (lo, hi) = (vec![Value::Int(1)], vec![Value::Int(4)]);
-        let odd = Expr::bin(
-            BinOp::Gt,
-            Expr::col(2),
-            Expr::bin(BinOp::Mul, Expr::col(0), Expr::lit(Value::Int(1_000))),
-        );
-        for (pred, n) in [(None, 4 * 40), (Some(odd), 4 * 39)] {
-            let (lo, hi) = (Bound::Included(lo.clone()), Bound::Included(hi.clone()));
-            let fanned = parallel_cluster_scan(&t, &lo, &hi, pred.as_ref())
-                .unwrap()
-                .expect("four segments fan out");
-            let serial: Vec<Row> = t
-                .cluster_range_stream(as_slice(&lo), as_slice(&hi))
-                .unwrap()
-                .filtered(pred)
-                .collect::<relstore::Result<_>>()
-                .unwrap();
-            assert_eq!(fanned.len(), n);
-            assert_eq!(fanned, serial);
-        }
-        // One segment (or a non-integer bound) is left to the serial scan.
-        let one = Bound::Included(lo);
-        assert!(parallel_cluster_scan(&t, &one, &one, None)
-            .unwrap()
-            .is_none());
     }
 
     /// Only a statement whose result cannot depend on row order joins in

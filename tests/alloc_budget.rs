@@ -5,11 +5,12 @@
 //! matter what other tests do in parallel. The budgets pin the executor's
 //! streaming shape: a scan decodes rows into a reused buffer and lends
 //! them (or, read as an iterator, clones only the rows its pushed
-//! predicate keeps); a join hashes one input into rows stored flat and
-//! streams the other through it — the left input sorted by key, in
-//! sort-merge order, for statements that return rows; the right input
-//! unsorted, in probe order, for aggregates whose result cannot depend on
-//! row order — writing each joined row into one reused buffer; and
+//! predicate keeps), and a scan of compressed blocks lends the rows of
+//! the cached decoded blocks in place; a join hashes one input into rows
+//! stored flat and streams the other through it — the left input sorted
+//! by key, in sort-merge order, for statements that return rows; the right
+//! input unsorted, in probe order, for aggregates whose result cannot
+//! depend on row order — writing each joined row into one reused buffer; and
 //! ungrouped aggregates fold the rows lent to them instead of collecting
 //! the joined rows first. A row the scan skips this cheaply is still never
 //! skipped silently: a corrupt record comes out as an error.
@@ -174,6 +175,23 @@ fn q4_and_q6_allocate_fewer_times_than_the_table_has_rows() {
     let q6 = query_allocs(&a, &queries::q6_xquery(d("1990-01-01"), d("1995-12-31")));
     assert!(q4 < rows, "Q4 made {q4} allocations for {rows} rows");
     assert!(q6 < rows, "Q6 made {q6} allocations for {rows} rows");
+}
+
+/// On a compressed store most `employee_salary` rows live in BlockZIP
+/// blocks, decoded once into the block cache by the first run. The block
+/// stream evaluates the pushed predicate on the cached block and lends each
+/// passing row in place, so Q4 and Q6 allocate at most half of what they
+/// made when every passing block row was cloned into a row of its own:
+/// 2 648 allocations for Q4 and 4 479 for Q6 (471 and 1 275 with lent
+/// rows, in a release build).
+#[test]
+fn compressed_q4_and_q6_lend_block_rows_without_copying_them() {
+    let mut a = store();
+    a.compress_archived("employee").unwrap();
+    let q4 = query_allocs(&a, &queries::q4_xquery());
+    let q6 = query_allocs(&a, &queries::q6_xquery(d("1990-01-01"), d("1995-12-31")));
+    assert!(q4 <= 2_648 / 2, "Q4 made {q4} allocations");
+    assert!(q6 <= 4_479 / 2, "Q6 made {q6} allocations");
 }
 
 /// A table of `(id, name)` rows on `kind` storage with an index on `id`.
