@@ -893,7 +893,7 @@ impl CompressedStore {
             est_rows: rows,
             est_pages: pages,
             cost: pages * planner::SEQ_PAGE_COST + rows * planner::CPU_ROW_COST,
-            chosen_by: "bounds".to_string(),
+            chosen_by: "bounds",
         };
         let stream = BlockStream {
             windows,

@@ -46,7 +46,7 @@ pub use spec::{ArchConfig, RelationSpec};
 pub use translate::Translator;
 
 use relstore::expr::FnRegistry;
-use relstore::{Database, StorageKind};
+use relstore::{Database, ForcedPath, StorageKind};
 use sqlxml::QueryResult;
 use std::collections::HashMap;
 use std::fmt;
@@ -638,18 +638,30 @@ impl ArchIS {
     /// only those blocks are decompressed, and only rows passing the
     /// pushed-down predicates are copied out of them.
     pub fn execute_sql(&self, sql: &str) -> Result<QueryResult> {
-        self.execute_sql_on(&self.db, sql)
+        self.execute_sql_on_path(sql, None)
     }
 
-    /// [`ArchIS::execute_sql`] against an explicit database view — the
-    /// live database or a frozen snapshot of it (see
+    /// [`ArchIS::execute_sql`] with every table's access path forced to
+    /// `path` (`None` plans by cost, as `execute_sql` does). The answer
+    /// must not depend on it; the result's plan shows which path ran.
+    pub fn execute_sql_on_path(&self, sql: &str, path: Option<ForcedPath>) -> Result<QueryResult> {
+        self.execute_sql_on(&self.db, sql, path)
+    }
+
+    /// [`ArchIS::execute_sql_on_path`] against an explicit database view —
+    /// the live database or a frozen snapshot of it (see
     /// [`ArchIS::begin_snapshot`]). Compressed blocks are read through the
     /// same view, so a snapshot query decompresses the blocks as of its
     /// pinned commit.
-    fn execute_sql_on(&self, db: &Database, sql: &str) -> Result<QueryResult> {
+    fn execute_sql_on(
+        &self,
+        db: &Database,
+        sql: &str,
+        path: Option<ForcedPath>,
+    ) -> Result<QueryResult> {
         let stmt = sqlxml::parse_sql(sql).map_err(ArchError::from)?;
         Ok(sqlxml::engine::execute_stmt_with(
-            db, &stmt, &self.fns, self,
+            db, &stmt, &self.fns, self, path,
         )?)
     }
 
@@ -932,6 +944,12 @@ impl ArchSnapshot<'_> {
 
     /// Execute raw SQL/SQL-XML against the pinned H-table state.
     pub fn execute_sql(&self, sql: &str) -> Result<QueryResult> {
-        self.archis.execute_sql_on(self.snap.database(), sql)
+        self.execute_sql_on_path(sql, None)
+    }
+
+    /// [`ArchSnapshot::execute_sql`] with every table's access path forced
+    /// to `path` (see [`ArchIS::execute_sql_on_path`]).
+    pub fn execute_sql_on_path(&self, sql: &str, path: Option<ForcedPath>) -> Result<QueryResult> {
+        self.archis.execute_sql_on(self.snap.database(), sql, path)
     }
 }

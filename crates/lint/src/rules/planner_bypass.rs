@@ -12,7 +12,7 @@
 //! `index_lookup`, `cluster_range_stream`) from a query
 //! path reintroduces a hand-wired plan: it silently skips segment
 //! pruning, ignores the statistics catalog, and drifts from the costs the
-//! EXPLAIN log reports. This rule flags every such call in the audited
+//! query's plan reports. This rule flags every such call in the audited
 //! query-path files (`engine.rs`, `queries.rs`, `translate.rs`); the
 //! planner module and the storage layer itself are exempt, and
 //! planner-routed helpers carry a `// lint:allow(reason)` marker.

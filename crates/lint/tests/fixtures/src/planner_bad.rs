@@ -24,7 +24,7 @@ pub fn sanctioned(table: &Table, lo: u64, hi: u64) {
 
 pub fn planner_routed(table: &Table) {
     // Calls that *go through* the planner are the sanctioned shape.
-    let _plan = planner::choose_path(&profile, &candidates);
+    let _plan = planner::choose_path(&profile, &candidates, None);
 }
 
 #[cfg(test)]

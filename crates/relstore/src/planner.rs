@@ -25,19 +25,20 @@
 //!
 //! The chooser is deliberately advisory: callers re-apply every predicate
 //! as a filter, so a wrong estimate can only cost time, never correctness.
-//! [`set_forced_path`] (`Seq` | `Index` | `Cluster`) pins the decision so
-//! `tests/planner_equiv.rs` can prove every path gives the same answer; it
-//! is a test hook, not configuration.
+//! A [`ForcedPath`] (`Seq` | `Index` | `Cluster`) passed to
+//! [`choose_path`] pins the decision so `tests/planner_equiv.rs` can prove
+//! every path gives the same answer. The module holds no state: the
+//! override is an argument of each call, and each decision comes back as
+//! the [`PlanEntry`] of its [`Choice`], for the caller to hand on with its
+//! result.
 
 use crate::catalog::Database;
 use crate::exec::JoinOrder;
 use crate::table::Table;
 use crate::value::{DataType, Field, Schema, Value};
 use crate::{Result, StorageKind};
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU8, Ordering};
 use temporal::Date;
 
 /// Name of the durable per-segment statistics table (created on demand by
@@ -368,11 +369,12 @@ pub fn clear_stats(db: &Database, tbl: &str) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Forced access paths (test hook)
+// Forced access paths and plan entries (EXPLAIN)
 // ---------------------------------------------------------------------------
 
-/// An access-path override. Only `tests/planner_equiv.rs` sets one, to
-/// prove every path returns the cost-based plan's answer.
+/// An access-path override, passed to [`choose_path`] per call. Tests
+/// force each one to prove every path returns the cost-based plan's
+/// answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForcedPath {
     /// Always scan the base storage sequentially.
@@ -383,30 +385,7 @@ pub enum ForcedPath {
     Cluster,
 }
 
-// 0 = cost-based, then 1 + the variant's position.
-static FORCE_PATH: AtomicU8 = AtomicU8::new(0);
-
-/// The active access-path override, if any.
-pub fn forced_path() -> Option<ForcedPath> {
-    match FORCE_PATH.load(Ordering::Relaxed) {
-        1 => Some(ForcedPath::Seq),
-        2 => Some(ForcedPath::Index),
-        3 => Some(ForcedPath::Cluster),
-        _ => None,
-    }
-}
-
-/// Override (or with `None`, restore cost-based planning over) the
-/// access-path decision for the whole process.
-pub fn set_forced_path(path: Option<ForcedPath>) {
-    FORCE_PATH.store(path.map_or(0, |p| p as u8 + 1), Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Plan log (EXPLAIN)
-// ---------------------------------------------------------------------------
-
-/// One access-path decision, recorded per scanned table, or one join
+/// One access-path decision, made per scanned table, or one join
 /// ([`PlanEntry::join`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanEntry {
@@ -424,7 +403,7 @@ pub struct PlanEntry {
     pub cost: f64,
     /// What made the decision: `cost` or `forced:<path>`; for a join,
     /// `row order` (the statement returns rows) or `order-free`.
-    pub chosen_by: String,
+    pub chosen_by: &'static str,
 }
 
 impl PlanEntry {
@@ -445,7 +424,7 @@ impl PlanEntry {
             est_rows: 0.0,
             est_pages: 0.0,
             cost: 0.0,
-            chosen_by: chosen_by.to_string(),
+            chosen_by,
         }
     }
 }
@@ -470,21 +449,7 @@ impl fmt::Display for PlanEntry {
     }
 }
 
-thread_local! {
-    static PLAN_LOG: RefCell<Vec<PlanEntry>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Record a plan decision for the current thread's EXPLAIN log.
-pub fn record_plan(entry: PlanEntry) {
-    PLAN_LOG.with(|l| l.borrow_mut().push(entry));
-}
-
-/// Drain this thread's plan log (decisions since the last drain).
-pub fn take_plan_log() -> Vec<PlanEntry> {
-    PLAN_LOG.with(|l| std::mem::take(&mut *l.borrow_mut()))
-}
-
-/// Format a drained plan log as an EXPLAIN-style dump, one scan per line.
+/// Format a query's plan as an EXPLAIN-style dump, one entry per line.
 pub fn explain(entries: &[PlanEntry]) -> String {
     entries
         .iter()
@@ -651,8 +616,7 @@ pub struct Choice {
     pub kind: PathKind,
     /// Index of the winning candidate in the input slice (`None` = seq).
     pub candidate: Option<usize>,
-    /// EXPLAIN record for this decision (also pushed to the plan log by
-    /// [`choose_path`]).
+    /// EXPLAIN record for this decision.
     pub entry: PlanEntry,
 }
 
@@ -857,21 +821,24 @@ fn path_label(cand: Option<&ScanCandidate>) -> String {
 /// `candidates` lists first one single-column entry per bounded leading
 /// key column, in the order the bounds appear in the predicate list, then
 /// the multi-column ones. A sequential scan is always considered
-/// implicitly. The decision (including any [`set_forced_path`] override)
-/// is appended to the thread's plan log.
-pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choice {
-    let forced = forced_path();
-    let (winner, chosen_by): (Option<usize>, String) = match forced {
-        Some(ForcedPath::Seq) => (None, "forced:seq".to_string()),
+/// implicitly. `forced` overrides the cost model; the decision comes back
+/// as the choice's [`PlanEntry`].
+pub fn choose_path(
+    profile: &TableProfile,
+    candidates: &[ScanCandidate],
+    forced: Option<ForcedPath>,
+) -> Choice {
+    let (winner, chosen_by) = match forced {
+        Some(ForcedPath::Seq) => (None, "forced:seq"),
         Some(ForcedPath::Index) => {
             let idx = pick_cheapest(profile, candidates, Some(PathKind::Index));
-            (idx, "forced:index".to_string())
+            (idx, "forced:index")
         }
         Some(ForcedPath::Cluster) => {
             let idx = pick_cheapest(profile, candidates, Some(PathKind::Cluster));
-            (idx, "forced:cluster".to_string())
+            (idx, "forced:cluster")
         }
-        None => (pick_cheapest(profile, candidates, None), "cost".to_string()),
+        None => (pick_cheapest(profile, candidates, None), "cost"),
     };
     let cand = winner.map(|i| &candidates[i]);
     let sel = cand.map_or(1.0, |c| selectivity(profile, c));
@@ -887,7 +854,6 @@ pub fn choose_path(profile: &TableProfile, candidates: &[ScanCandidate]) -> Choi
         cost,
         chosen_by,
     };
-    record_plan(entry.clone());
     Choice {
         kind: cand.map_or(PathKind::Seq, |c| c.kind),
         candidate: winner,
@@ -931,14 +897,6 @@ mod tests {
 
     fn d(s: &str) -> Date {
         Date::parse(s).unwrap()
-    }
-
-    // Tests that read or write the process-wide forced path serialize on
-    // this lock so the parallel test runner cannot interleave them.
-    static FORCE_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
-    fn reset_force() {
-        set_forced_path(None);
     }
 
     fn bound(column: &str, eq: bool, lo: Bound<Value>, hi: Bound<Value>) -> ColumnBound {
@@ -1026,8 +984,6 @@ mod tests {
 
     #[test]
     fn cost_model_prefers_seq_for_unselective_index() {
-        let _g = FORCE_LOCK.lock();
-        reset_force();
         let profile = TableProfile::bare("t", 100_000, 1_600);
         let cand = index_cand(
             "by_id",
@@ -1038,14 +994,12 @@ mod tests {
                 Bound::Unbounded,
             )],
         );
-        let choice = take_choice(&profile, &[cand]);
+        let choice = choose_path(&profile, &[cand], None);
         assert_eq!(choice.kind, PathKind::Seq, "sel≈0.4 range must not probe");
     }
 
     #[test]
     fn cost_model_prefers_index_for_narrow_eq() {
-        let _g = FORCE_LOCK.lock();
-        reset_force();
         let profile = TableProfile::bare("t", 100_000, 1_600);
         let cand = index_cand(
             "by_id",
@@ -1056,13 +1010,12 @@ mod tests {
                 Bound::Included(Value::Int(42)),
             )],
         );
-        let choice = take_choice(&profile, &[cand]);
+        let choice = choose_path(&profile, &[cand], None);
         assert_eq!(choice.kind, PathKind::Index);
     }
 
     #[test]
     fn segment_stats_drive_segno_selectivity() {
-        // selectivity() never consults the force flag: no lock needed.
         let profile = ten_segment_profile();
         // One segment out of ten.
         let sel = column_selectivity(&profile, &eq_bound("segno", 3));
@@ -1147,7 +1100,6 @@ mod tests {
 
     #[test]
     fn cost_and_forced_index_take_the_composite_candidate() {
-        let _g = FORCE_LOCK.lock();
         let profile = ten_segment_profile();
         let cands = [
             index_cand("by_seg", vec![eq_bound("segno", 3)]),
@@ -1155,32 +1107,28 @@ mod tests {
             index_cand("by_seg", vec![eq_bound("segno", 3), eq_bound("id", 7)]),
         ];
         // Cost-based and forced `index` both take the point access.
-        reset_force();
-        assert_eq!(take_choice(&profile, &cands).candidate, Some(2));
-        set_forced_path(Some(ForcedPath::Index));
-        assert_eq!(take_choice(&profile, &cands).candidate, Some(2));
-        reset_force();
-        let entry = take_choice(&profile, &cands).entry;
+        assert_eq!(choose_path(&profile, &cands, None).candidate, Some(2));
+        let forced = choose_path(&profile, &cands, Some(ForcedPath::Index));
+        assert_eq!(forced.candidate, Some(2));
+        assert_eq!(forced.entry.chosen_by, "forced:index");
+        let entry = choose_path(&profile, &cands, None).entry;
         assert_eq!(entry.path, "index(by_seg)");
         assert!(entry.est_rows < 2.0 && entry.est_pages < 10.0, "{entry}");
     }
 
     #[test]
     fn stats_free_equality_is_priced_as_a_key_lookup() {
-        let _g = FORCE_LOCK.lock();
-        reset_force();
         // A small key table: eleven pages, no statistics. The probe must
         // win over reading all of it.
         let profile = TableProfile::bare("employee_id", 1_148, 11);
         let cand = index_cand("employee_id_by_id", vec![eq_bound("id", 100_104)]);
-        let choice = take_choice(&profile, std::slice::from_ref(&cand));
+        let choice = choose_path(&profile, std::slice::from_ref(&cand), None);
         assert_eq!(choice.kind, PathKind::Index);
         assert!(choice.entry.est_rows <= 1.0 + 1e-9);
     }
 
     #[test]
     fn forced_paths_override_cost() {
-        let _g = FORCE_LOCK.lock();
         let profile = TableProfile::bare("t", 100_000, 1_600);
         let cand = index_cand(
             "by_id",
@@ -1191,13 +1139,11 @@ mod tests {
                 Bound::Unbounded,
             )],
         );
-        set_forced_path(Some(ForcedPath::Index));
-        let c = take_choice(&profile, std::slice::from_ref(&cand));
+        let cands = std::slice::from_ref(&cand);
+        let c = choose_path(&profile, cands, Some(ForcedPath::Index));
         assert_eq!(c.kind, PathKind::Index);
-        set_forced_path(Some(ForcedPath::Seq));
-        let c = take_choice(&profile, std::slice::from_ref(&cand));
+        let c = choose_path(&profile, cands, Some(ForcedPath::Seq));
         assert_eq!(c.kind, PathKind::Seq);
-        reset_force();
     }
 
     #[test]
@@ -1222,26 +1168,14 @@ mod tests {
 
     #[test]
     fn explain_formats_plan_entries() {
-        let _g = FORCE_LOCK.lock();
-        take_plan_log();
-        reset_force();
         let profile = TableProfile::bare("emp", 1000, 16);
-        let _ = choose_path(&profile, &[]);
-        let log = take_plan_log();
-        assert_eq!(log.len(), 1);
-        let text = explain(&log);
+        let plan = [
+            choose_path(&profile, &[], None).entry,
+            choose_path(&profile, &[], Some(ForcedPath::Seq)).entry,
+        ];
+        let text = explain(&plan);
         assert!(text.contains("scan emp: path=seq"), "{text}");
-        assert!(
-            text.contains("[cost]") || text.contains("[forced"),
-            "{text}"
-        );
-    }
-
-    /// choose_path, but with the plan-log side effect drained so tests
-    /// stay independent.
-    fn take_choice(profile: &TableProfile, cands: &[ScanCandidate]) -> Choice {
-        let c = choose_path(profile, cands);
-        take_plan_log();
-        c
+        assert!(text.contains("[cost]"), "{text}");
+        assert!(text.contains("[forced:seq]"), "{text}");
     }
 }

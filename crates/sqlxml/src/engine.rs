@@ -24,8 +24,7 @@
 //!    argument, as the paper's Q2, Q4, Q5 and Q6 are — gets probe order:
 //!    the rows joined so far are hashed (for those queries the key table
 //!    `employee_id`, one row per employee, or a join onto it) and the
-//!    table joining in streams through unsorted and uncollected. Each
-//!    join is logged for EXPLAIN. A
+//!    table joining in streams through unsorted and uncollected. A
 //!    condition is a join key when each side is one column, optionally
 //!    plus or minus an integer literal (`t3.tstart = t2.tend + 1`, the
 //!    equality the translator emits beside every `tmeets`). Each table in
@@ -39,6 +38,12 @@
 //!    ([`Accumulator`]), so joined rows are never copied or collected,
 //!    `GROUP BY` finds a row's group by its hashed key ([`KeyIndex`]), and
 //!    `XMLElement` / `XMLAgg` construct XML inside the engine.
+//!
+//! Every result carries the plan that produced it ([`QueryResult::plan`]):
+//! one [`planner::PlanEntry`] per access-path decision, side-storage read
+//! and hash join, in execution order. A caller may force the access paths
+//! of one statement ([`execute_stmt_with`]); nothing about a plan is kept
+//! once its statement returns.
 //!
 //! Compilation binds every UDF call to its registry entry once, and a
 //! string literal passed to a UDF that is a date in `YYYY-MM-DD` form is
@@ -87,13 +92,18 @@ impl SqlValue {
     }
 }
 
-/// The result of a select: column names plus rows of [`SqlValue`]s.
+/// The result of a select: column names plus rows of [`SqlValue`]s, and
+/// the plan that produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
     /// Output column names.
     pub columns: Vec<String>,
     /// Output rows.
     pub rows: Vec<Vec<SqlValue>>,
+    /// The plan the statement ran, in execution order: each table's scan
+    /// (followed by its side-storage entry, if any), then each hash join.
+    /// [`planner::explain`] formats it.
+    pub plan: Vec<planner::PlanEntry>,
 }
 
 impl QueryResult {
@@ -134,7 +144,7 @@ pub fn execute_stmt(
     stmt: &SelectStmt,
     fns: &Arc<FnRegistry>,
 ) -> Result<QueryResult> {
-    execute_stmt_with(db, stmt, fns, &())
+    execute_stmt_with(db, stmt, fns, &(), None)
 }
 
 /// Rows a table holds outside its own pages — ArchIS's BlockZIP-compressed
@@ -148,8 +158,8 @@ pub trait SideStorage {
     /// storage. `bounds` are the merged key-column bounds of the pushed-down
     /// predicates, `pred` those predicates compiled over the table's own
     /// row (`None` when there are none). Every row the cursor lends must
-    /// pass `pred`; the [`planner::PlanEntry`] is appended to the EXPLAIN
-    /// log.
+    /// pass `pred`; the [`planner::PlanEntry`] follows the table's scan in
+    /// the result's plan.
     fn scan(
         &self,
         db: &Database,
@@ -175,16 +185,36 @@ impl SideStorage for () {
 /// Execute with **side storage**: every table `side` answers for is read
 /// as its planned base scan followed by the side rows within the same
 /// bounds (see [`SideStorage`]). This is how ArchIS serves history tables
-/// whose archived segments were compressed.
+/// whose archived segments were compressed. `forced`, when set, overrides
+/// the cost model on every table's access path (see
+/// [`planner::choose_path`]).
 pub fn execute_stmt_with(
     db: &Database,
     stmt: &SelectStmt,
     fns: &Arc<FnRegistry>,
     side: &dyn SideStorage,
+    forced: Option<planner::ForcedPath>,
 ) -> Result<QueryResult> {
     let scope = Scope::build(db, stmt)?;
-    let rows = run_from_where(db, stmt, &scope, fns, side, order_free(stmt, &scope))?;
-    project(stmt, &scope, rows, fns)
+    let mut access = Access {
+        side,
+        forced,
+        plan: Vec::with_capacity(3 * stmt.from.len()),
+    };
+    let rows = run_from_where(db, stmt, &scope, fns, &mut access, order_free(stmt, &scope))?;
+    let result = project(stmt, &scope, rows, fns)?;
+    Ok(QueryResult {
+        plan: access.plan,
+        ..result
+    })
+}
+
+/// Where one statement's tables are read from, the override on their
+/// access paths, and the plan its reads and joins record.
+struct Access<'a> {
+    side: &'a dyn SideStorage,
+    forced: Option<planner::ForcedPath>,
+    plan: Vec<planner::PlanEntry>,
 }
 
 /// Whether the statement's result is the same whatever order its joined
@@ -418,14 +448,14 @@ fn conjuncts(e: &SqlExpr, out: &mut Vec<SqlExpr>) {
 /// streams its left input sorted by key (sort-merge order, which a
 /// statement that returns rows shows), or, when the statement is
 /// [`order_free`], hashes its left input (the rows joined so far) and
-/// streams the right one as it arrives. Each join adds an entry to the
-/// EXPLAIN log.
+/// streams the right one as it arrives. Each scan and each join appends
+/// its entry to `access.plan`.
 fn run_from_where(
     db: &Database,
     stmt: &SelectStmt,
     scope: &Scope,
     fns: &Arc<FnRegistry>,
-    side: &dyn SideStorage,
+    access: &mut Access,
     order_free: bool,
 ) -> Result<Pipeline> {
     let mut table_preds: HashMap<String, Vec<SqlExpr>> = HashMap::new();
@@ -459,7 +489,7 @@ fn run_from_where(
     for (tname, alias) in &stmt.from {
         let t = db.table(tname)?;
         let preds = table_preds.remove(alias).unwrap_or_default();
-        let scan = scan_table(db, &t, alias, &preds, scope, fns, side)?;
+        let scan = scan_table(db, &t, alias, &preds, scope, fns, access)?;
         sources.insert(alias.clone(), scan);
     }
 
@@ -508,7 +538,8 @@ fn run_from_where(
         } else {
             JoinOrder::Key
         };
-        planner::record_plan(planner::PlanEntry::join(&joined_name, tname, join_order));
+        let entry = planner::PlanEntry::join(&joined_name, tname, join_order);
+        access.plan.push(entry);
         let join = HashJoin::new(left, right, lkeys, rkeys, join_order);
         joined = Some(Box::new(join));
         joined_aliases.push(alias.clone());
@@ -658,11 +689,12 @@ fn col_index(e: &SqlExpr, scope: &Scope) -> Result<usize> {
 /// [`planner::ScanCandidate`]s — one per bounded leading column, then one
 /// per index (and the clustered key) that has more than its leading
 /// column bound; [`planner::choose_path`] costs them against a sequential
-/// scan using the table's per-segment statistics and records the decision
-/// in the EXPLAIN plan log. Returns a streaming scan: base scans pull
-/// pages on demand, so a downstream LIMIT stops the scan early. When
-/// `side` holds rows of the table too, they follow the base scan, read
-/// under the same merged bounds and filtered by the same predicates.
+/// scan using the table's per-segment statistics (unless `access.forced`
+/// pins the path), and its decision goes onto `access.plan`. Returns a
+/// streaming scan: base scans pull pages on demand, so a downstream LIMIT
+/// stops the scan early. When `access.side` holds rows of the table too,
+/// they follow the base scan, read under the same merged bounds and
+/// filtered by the same predicates, and their entry follows the scan's.
 fn scan_table(
     db: &Database,
     table: &Table,
@@ -670,7 +702,7 @@ fn scan_table(
     preds: &[SqlExpr],
     scope: &Scope,
     fns: &Arc<FnRegistry>,
-    side: &dyn SideStorage,
+    access: &mut Access,
 ) -> Result<Pipeline> {
     let (offset, _arity) = scope.tables[alias];
     let index_defs = table.index_defs();
@@ -768,7 +800,7 @@ fn scan_table(
         )),
     };
     let profile = planner::TableProfile::of(db, table);
-    let choice = planner::choose_path(&profile, &candidates);
+    let choice = planner::choose_path(&profile, &candidates, access.forced);
     let (kind, index, (lo, hi)) = match choice.candidate.and_then(|i| candidates.get(i)) {
         Some(cand) => (cand.kind, cand.index.as_deref(), cand.key_range()),
         None => (
@@ -785,11 +817,12 @@ fn scan_table(
         as_slice(&hi),
         pred.clone(),
     )?);
-    match side.scan(db, table.name(), &bounded, pred.as_ref()) {
+    access.plan.push(choice.entry);
+    match access.side.scan(db, table.name(), &bounded, pred.as_ref()) {
         None => Ok(base),
         Some(side_rows) => {
             let (rows, entry) = side_rows?;
-            planner::record_plan(entry);
+            access.plan.push(entry);
             Ok(Box::new(Chain::new(base, rows)))
         }
     }
@@ -941,6 +974,7 @@ fn project(
     Ok(QueryResult {
         columns,
         rows: out_rows,
+        plan: Vec::new(),
     })
 }
 
@@ -1438,10 +1472,8 @@ mod tests {
     fn only_order_free_statements_join_in_probe_order() {
         let db = setup();
         let probe_order = |sql: &str| -> Vec<bool> {
-            planner::take_plan_log();
-            execute(&db, sql, &fns()).unwrap();
-            let log = planner::take_plan_log();
-            let joins = log.iter().filter(|e| e.path.starts_with("hash("));
+            let plan = execute(&db, sql, &fns()).unwrap().plan;
+            let joins = plan.iter().filter(|e| e.path.starts_with("hash("));
             joins.map(|e| e.path.ends_with("order=probe)")).collect()
         };
         let from = "from employee_name n, employee_title t where n.id = t.id";

@@ -605,11 +605,10 @@ fn probes(ops: &[Op]) -> (Vec<i64>, Date) {
 fn cold_reads(a: &ArchIS, xq: &str) -> (u64, u64, Vec<relstore::PlanEntry>) {
     let snap = a.begin_snapshot().unwrap();
     let begin = snap.database().pool().stats().logical_reads;
-    relstore::planner::take_plan_log();
     let out = snap.query(xq).unwrap();
     assert!(!out.rows.is_empty());
     let total = snap.database().pool().stats().logical_reads;
-    (begin, total - begin, relstore::planner::take_plan_log())
+    (begin, total - begin, out.plan)
 }
 
 #[test]
@@ -644,7 +643,7 @@ fn point_query_reads_do_not_grow_with_the_store() {
     );
 }
 
-/// ROADMAP 4(b): the plan log's page estimates against the reads the plan
+/// ROADMAP 4(b): the plan's page estimates against the reads the plan
 /// actually performs, and what planning itself reads.
 #[test]
 fn plan_estimates_track_actual_reads_for_point_queries() {
